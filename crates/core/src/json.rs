@@ -445,13 +445,18 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is safe
-                // to do by char boundaries).
-                let rest = &b[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|_| err(*pos, "invalid utf-8"))?;
-                let c = s.chars().next().ok_or_else(|| err(*pos, "empty"))?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash at
+                // once. Both are ASCII, so the run ends on a char boundary
+                // and validating it costs time linear in its length.
+                let start = *pos;
+                let len = b[start..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .unwrap_or(b.len() - start);
+                let run = std::str::from_utf8(&b[start..start + len])
+                    .map_err(|e| err(start + e.valid_up_to(), "invalid utf-8"))?;
+                out.push_str(run);
+                *pos += len;
             }
         }
     }

@@ -25,8 +25,16 @@ use crate::json::{self, Json};
 ///
 /// History: v1 — submit/poll/fetch/stats/shutdown; v2 — adds the
 /// `METRICS` command (text exposition dump of the server's
-/// [`MetricsRegistry`](redbin_telemetry::MetricsRegistry)).
-pub const WIRE_VERSION: u64 = 2;
+/// [`MetricsRegistry`](redbin_telemetry::MetricsRegistry)); v3 — `poll`
+/// takes an optional `wait-ms`. A v2 server would ignore it and answer at
+/// once, turning a waiting client loop into a busy loop, so the version
+/// moves with it.
+pub const WIRE_VERSION: u64 = 3;
+
+/// The longest a `poll` with `wait-ms` is held before the server answers
+/// with the job's current state. Well under the client's 10 s socket
+/// timeout, so a held poll never looks like a dead server.
+pub const MAX_POLL_WAIT_MS: u64 = 2_000;
 
 /// An error raised while decoding an envelope.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -925,6 +933,10 @@ pub enum Request {
     Poll {
         /// The job id ([`JobSpec::job_id`]).
         job: String,
+        /// Hold the answer until the job is terminal or this many
+        /// milliseconds pass (capped at [`MAX_POLL_WAIT_MS`]); `None`
+        /// answers at once.
+        wait_ms: Option<u64>,
     },
     /// Fetch a completed job's result body.
     Fetch {
@@ -952,9 +964,12 @@ impl Request {
                     o.set("deadline-ms", Json::UInt(*ms));
                 }
             }
-            Request::Poll { job } => {
+            Request::Poll { job, wait_ms } => {
                 o.set("type", Json::Str("poll".into()));
                 o.set("job", Json::Str(job.clone()));
+                if let Some(ms) = wait_ms {
+                    o.set("wait-ms", Json::UInt(*ms));
+                }
             }
             Request::Fetch { job } => {
                 o.set("type", Json::Str("fetch".into()));
@@ -996,7 +1011,10 @@ impl Request {
                 let deadline_ms = v.get("deadline-ms").and_then(Json::as_u64);
                 Ok(Request::Submit { spec, deadline_ms })
             }
-            Some("poll") => Ok(Request::Poll { job: job_str(&v)? }),
+            Some("poll") => Ok(Request::Poll {
+                job: job_str(&v)?,
+                wait_ms: v.get("wait-ms").and_then(Json::as_u64),
+            }),
             Some("fetch") => Ok(Request::Fetch { job: job_str(&v)? }),
             Some("stats") => Ok(Request::Stats),
             Some("metrics") => Ok(Request::Metrics),
@@ -1216,7 +1234,14 @@ mod tests {
                 spec: JobSpec::sleep(250),
                 deadline_ms: None,
             },
-            Request::Poll { job: "deadbeef01234567".into() },
+            Request::Poll {
+                job: "deadbeef01234567".into(),
+                wait_ms: None,
+            },
+            Request::Poll {
+                job: "deadbeef01234567".into(),
+                wait_ms: Some(MAX_POLL_WAIT_MS),
+            },
             Request::Fetch { job: "deadbeef01234567".into() },
             Request::Stats,
             Request::Metrics,
@@ -1226,6 +1251,23 @@ mod tests {
             let line = r.to_line();
             assert!(!line.contains('\n'));
             assert_eq!(Request::from_line(&line).expect("decodes"), r);
+        }
+    }
+
+    #[test]
+    fn poll_wait_ms_is_optional_on_the_wire() {
+        let immediate = Request::Poll {
+            job: "ab".into(),
+            wait_ms: None,
+        };
+        let waiting = Request::Poll {
+            job: "ab".into(),
+            wait_ms: Some(250),
+        };
+        assert!(!immediate.to_line().contains("wait-ms"));
+        assert!(waiting.to_line().contains(r#""wait-ms":250"#));
+        for r in [immediate, waiting] {
+            assert_eq!(Request::from_line(&r.to_line()).expect("decodes"), r);
         }
     }
 
@@ -1271,11 +1313,16 @@ mod tests {
 
     #[test]
     fn unknown_kinds_are_rejected() {
-        assert!(Request::from_line(r#"{"v":2,"type":"frobnicate"}"#).is_err());
+        let unknown = format!(r#"{{"v":{WIRE_VERSION},"type":"frobnicate"}}"#);
+        let err = Request::from_line(&unknown).unwrap_err();
+        assert!(err.0.contains("unknown request type"), "{err}");
         assert!(ExperimentKind::from_name("figure99").is_err());
         assert!(scale_from_name("huge").is_err());
-        let bad_spec = r#"{"v":2,"type":"submit","job":{"experiment":"figure9","scale":"huge"}}"#;
-        assert!(Request::from_line(bad_spec).is_err());
+        let bad_spec = format!(
+            r#"{{"v":{WIRE_VERSION},"type":"submit","job":{{"experiment":"figure9","scale":"huge"}}}}"#
+        );
+        let err = Request::from_line(&bad_spec).unwrap_err();
+        assert!(err.0.contains("unknown scale"), "{err}");
     }
 
     #[test]

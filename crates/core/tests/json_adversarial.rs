@@ -6,9 +6,13 @@
 //! tests drive it with `redbin-testkit` property cases: deeply nested
 //! documents around and far past the depth limit, truncations of valid
 //! envelopes at every char boundary, duplicate object keys, and plain
-//! byte garbage.
+//! byte garbage. String literals are checked against a reference decoder
+//! that reads one character at a time, and a multi-megabyte literal must
+//! parse in linear time.
 
-use redbin::json::{self, Json, MAX_DEPTH};
+use std::time::Duration;
+
+use redbin::json::{self, Json, ParseError, MAX_DEPTH};
 use redbin_testkit::{cases, Rng};
 
 /// A random JSON document. `depth` bounds recursion so generation cannot
@@ -156,4 +160,159 @@ fn byte_garbage_never_panics_the_parser() {
             assert!(!e.to_string().is_empty());
         }
     });
+}
+
+/// The reference for string literals: decodes a document holding one
+/// string literal one character at a time, with the parser's rules for
+/// escapes, whitespace and trailing content. The parser copies whole runs
+/// between quotes and backslashes; it must agree with this on every value
+/// and on every error's offset and message.
+fn reference_string_doc(text: &str) -> Result<Json, ParseError> {
+    let fail = |at: usize, message: &str| {
+        Err(ParseError {
+            at,
+            message: message.to_string(),
+        })
+    };
+    let b = text.as_bytes();
+    let skip_ws = |mut pos: usize| {
+        while matches!(b.get(pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            pos += 1;
+        }
+        pos
+    };
+    let mut pos = skip_ws(0);
+    if b.get(pos) != Some(&b'"') {
+        return fail(pos, "the reference decodes string literals only");
+    }
+    pos += 1;
+    let mut out = String::new();
+    loop {
+        let Some(c) = text[pos..].chars().next() else {
+            return fail(pos, "unterminated string");
+        };
+        match c {
+            '"' => {
+                pos += 1;
+                break;
+            }
+            '\\' => {
+                pos += 1;
+                match text[pos..].chars().next() {
+                    Some('"') => out.push('"'),
+                    Some('\\') => out.push('\\'),
+                    Some('/') => out.push('/'),
+                    Some('n') => out.push('\n'),
+                    Some('r') => out.push('\r'),
+                    Some('t') => out.push('\t'),
+                    Some('b') => out.push('\u{8}'),
+                    Some('f') => out.push('\u{c}'),
+                    Some('u') => {
+                        let Some(hex) = b.get(pos + 1..pos + 5) else {
+                            return fail(pos, "truncated \\u escape");
+                        };
+                        let Some(code) = std::str::from_utf8(hex)
+                            .ok()
+                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        else {
+                            return fail(pos, "bad \\u escape");
+                        };
+                        let Some(c) = char::from_u32(code) else {
+                            return fail(pos, "unsupported \\u escape");
+                        };
+                        out.push(c);
+                        pos += 4;
+                    }
+                    _ => return fail(pos, "bad escape"),
+                }
+                pos += 1;
+            }
+            c => {
+                out.push(c);
+                pos += c.len_utf8();
+            }
+        }
+    }
+    let end = skip_ws(pos);
+    if end != b.len() {
+        return fail(end, "trailing content");
+    }
+    Ok(Json::Str(out))
+}
+
+/// A random string literal, well-formed or not: plain runs, multi-byte
+/// UTF-8, raw control characters, every escape, `\u` escapes valid,
+/// surrogate, truncated and malformed, and stray backslashes; the closing
+/// quote is sometimes missing and trailing content sometimes present.
+fn random_string_literal(rng: &mut Rng) -> String {
+    const PIECES: &[&str] = &[
+        "a", "Zq9", "plain words ", "{}[]:,", "µ", "⌘", "𝕊", "é", "\n", "\t", "\u{0}",
+        "\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t",
+        "\\u0041", "\\u00e9", "\\u2318", "\\uFFFF", "\\u0000", "\\uD800", "\\uDFFF",
+        "\\u+041", "\\u-041", "\\u12", "\\uZZZZ", "\\u0⌘", "\\u00⌘", "\\uµµ",
+        "\\x", "\\µ", "\\",
+    ];
+    let mut s = String::new();
+    for _ in 0..rng.range_usize(0, 3) {
+        s.push(*rng.pick(&[' ', '\n', '\t']));
+    }
+    s.push('"');
+    for _ in 0..rng.range_usize(0, 12) {
+        s.push_str(rng.pick::<&str>(PIECES));
+    }
+    if rng.range_usize(0, 5) != 0 {
+        s.push('"');
+    }
+    match rng.range_usize(0, 6) {
+        0 => s.push_str(" \r\n"),
+        1 => s.push('x'),
+        2 => s.push_str(" \"µ\""),
+        _ => {}
+    }
+    s
+}
+
+#[test]
+fn string_literals_decode_like_the_char_at_a_time_reference() {
+    // Fixed edge cases first: each escape error at its offset, and the
+    // accepted `\u+hhh` that `from_str_radix` lets through.
+    for doc in [
+        r#""""#,
+        r#""abc"#,
+        r#""\"#,
+        r#""\u12"#,
+        r#""\u12""#,
+        r#""\uD800""#,
+        r#""\u+041""#,
+        r#""\q""#,
+        "\"\\u00⌘\"",
+        r#""ok" x"#,
+    ] {
+        assert_eq!(json::parse(doc), reference_string_doc(doc), "{doc:?}");
+    }
+    cases(2000, 0x5EED_0006, |rng| {
+        let doc = random_string_literal(rng);
+        assert_eq!(json::parse(&doc), reference_string_doc(&doc), "{doc:?}");
+    });
+}
+
+#[test]
+fn a_four_mib_string_literal_parses_in_linear_time() {
+    const TARGET: usize = 4 << 20;
+    let unit = r#"plain ascii text µ⌘𝕊 \n\t\u00e9\\ \" "#;
+    let decoded_unit = "plain ascii text µ⌘𝕊 \n\té\\ \" ";
+    let copies = TARGET / unit.len() + 1;
+    let doc = format!("\"{}\"", unit.repeat(copies));
+    assert!(doc.len() > TARGET);
+    // Linear parsing takes well under a second even unoptimised; a parser
+    // that rescans the rest of the input per character would take hours,
+    // so it runs on a thread the test stops waiting for after 10 s.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let parser = std::thread::spawn(move || tx.send(json::parse(&doc)));
+    let parsed = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a 4 MiB string parses within 10 s")
+        .expect("parses");
+    parser.join().expect("parser thread").expect("sent");
+    assert_eq!(parsed, Json::Str(decoded_unit.repeat(copies)));
 }

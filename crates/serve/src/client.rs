@@ -3,16 +3,34 @@
 //! Each request opens a fresh connection, sends one envelope line, and
 //! reads one response line — the protocol is stateless, so this keeps the
 //! client trivially robust against server restarts (the content-addressed
-//! job ids stay valid across them as long as the cache is warm).
+//! job ids stay valid across them as long as the cache is warm). A
+//! connection the server refuses as busy, before reading the request, is
+//! retried with jittered backoff.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use redbin::json::Json;
-use redbin::telemetry::Deadline;
-use redbin::wire::{JobSpec, JobState, Request, Response};
+use redbin::telemetry::{Clock, Deadline};
+use redbin::wire::{JobSpec, JobState, Request, Response, MAX_POLL_WAIT_MS};
 use redbin_testkit::Rng;
+
+use crate::server::BUSY;
+
+/// The first backoff after a busy answer; it doubles per attempt up to
+/// [`BUSY_BACKOFF_MAX_MS`].
+const BUSY_BACKOFF_MS: u64 = 20;
+
+/// The longest backoff after a busy answer.
+const BUSY_BACKOFF_MAX_MS: u64 = 500;
+
+/// A deterministic draw in `[base_ms/2, base_ms]` for retry `attempt`.
+fn jittered(seed: u64, attempt: u32, base_ms: u64) -> Duration {
+    let mut rng = Rng::new(seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let half = base_ms / 2;
+    Duration::from_millis(half + rng.range_u64(0, half + 1))
+}
 
 /// Bounded retry with jittered backoff for submit-time backpressure.
 ///
@@ -41,9 +59,7 @@ impl RetryPolicy {
     /// suggested wait. Deterministic in `(seed, attempt)`.
     pub fn backoff(&self, seed: u64, attempt: u32, suggested_secs: u64) -> Duration {
         let base_ms = suggested_secs.min(self.retry_after_cap).saturating_mul(1000);
-        let mut rng = Rng::new(seed ^ u64::from(attempt).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        let half = base_ms / 2;
-        Duration::from_millis(half + rng.range_u64(0, half + 1))
+        jittered(seed, attempt, base_ms)
     }
 }
 
@@ -97,7 +113,11 @@ pub struct Client {
     addr: String,
     /// Per-request socket timeout.
     pub io_timeout: Duration,
-    /// Delay between polls in [`Client::run_to_completion`].
+    /// Delay between polls for callers that poll by hand with
+    /// [`Client::poll`]. [`Client::run_to_completion`] uses
+    /// [`Client::poll_wait`], which the server holds until the job ends,
+    /// and sleeps this long only when the server answers before the wait
+    /// ran out without the job having ended.
     pub poll_interval: Duration,
 }
 
@@ -116,7 +136,10 @@ impl Client {
         &self.addr
     }
 
-    /// Sends one request and reads one response.
+    /// Sends one request and reads one response. A [`BUSY`] answer means
+    /// the server never read the request, so it is sent again after a
+    /// jittered, doubling backoff until `io_timeout` has passed; the last
+    /// busy answer is then returned.
     ///
     /// # Errors
     ///
@@ -130,19 +153,44 @@ impl Client {
         let addr = addrs
             .next()
             .ok_or_else(|| ClientError::Protocol(format!("address `{}` resolves to nothing", self.addr)))?;
-        let stream = TcpStream::connect_timeout(&addr, self.io_timeout)?;
+        let mut line = request.to_line();
+        line.push('\n');
+        let give_up = Deadline::after(self.io_timeout);
+        let mut attempt = 0;
+        loop {
+            let (response, port) = self.exchange(&addr, &line)?;
+            let busy = matches!(&response, Response::Error { message } if message.starts_with(BUSY));
+            if !busy || give_up.expired() {
+                return Ok(response);
+            }
+            attempt += 1;
+            // The refused connection's local port tells concurrent
+            // clients apart, so their retries do not collide again.
+            let base_ms = (BUSY_BACKOFF_MS << (attempt - 1).min(8)).min(BUSY_BACKOFF_MAX_MS);
+            std::thread::sleep(jittered(u64::from(port), attempt, base_ms));
+        }
+    }
+
+    /// One connection: sends `line`, reads one response, and returns it
+    /// with the connection's local port.
+    fn exchange(
+        &self,
+        addr: &std::net::SocketAddr,
+        line: &str,
+    ) -> Result<(Response, u16), ClientError> {
+        let stream = TcpStream::connect_timeout(addr, self.io_timeout)?;
+        let port = stream.local_addr()?.port();
         stream.set_read_timeout(Some(self.io_timeout))?;
         stream.set_write_timeout(Some(self.io_timeout))?;
-        let mut writer = stream.try_clone()?;
-        writer.write_all(request.to_line().as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        let mut line = String::new();
-        BufReader::new(stream).read_line(&mut line)?;
-        if line.is_empty() {
+        (&stream).write_all(line.as_bytes())?;
+        (&stream).flush()?;
+        let mut reply = String::new();
+        BufReader::new(stream).read_line(&mut reply)?;
+        if reply.is_empty() {
             return Err(ClientError::Protocol("server closed without replying".into()));
         }
-        Response::from_line(&line).map_err(|e| ClientError::Protocol(e.to_string()))
+        let response = Response::from_line(&reply).map_err(|e| ClientError::Protocol(e.to_string()))?;
+        Ok((response, port))
     }
 
     /// Submits a job.
@@ -194,6 +242,21 @@ impl Client {
     pub fn poll(&self, job: &str) -> Result<Response, ClientError> {
         self.request(&Request::Poll {
             job: job.to_string(),
+            wait_ms: None,
+        })
+    }
+
+    /// Polls a job's state, letting the server hold the answer until the
+    /// job is terminal or `wait` passes. The server caps the wait at
+    /// [`MAX_POLL_WAIT_MS`].
+    ///
+    /// # Errors
+    ///
+    /// Transport errors, or [`ClientError::Server`] for unknown jobs.
+    pub fn poll_wait(&self, job: &str, wait: Duration) -> Result<Response, ClientError> {
+        self.request(&Request::Poll {
+            job: job.to_string(),
+            wait_ms: Some(wait.as_millis().min(u128::from(MAX_POLL_WAIT_MS)) as u64),
         })
     }
 
@@ -263,7 +326,8 @@ impl Client {
     }
 
     /// The full submit→poll→fetch cycle: submits (respecting `retry-after`
-    /// backpressure), polls until terminal, and fetches the result.
+    /// backpressure), polls until terminal with server-held polls (no
+    /// fixed sleep between them), and fetches the result.
     ///
     /// Returns `(job id, result body, served from cache at submit)`.
     ///
@@ -298,13 +362,16 @@ impl Client {
                 }
             }
         };
-        // Poll to terminal.
+        // Poll to terminal; the server answers as soon as the job ends.
         while !state.is_terminal() {
             if give_up.expired() {
                 return Err(ClientError::Timeout(format!("job {job} still {}", state.name())));
             }
-            std::thread::sleep(self.poll_interval);
-            state = match self.poll(&job)? {
+            let wait = Duration::from_millis(give_up.remaining().map_or(MAX_POLL_WAIT_MS, |left| {
+                (left.as_millis() as u64).min(MAX_POLL_WAIT_MS)
+            }));
+            let asked = Clock::now();
+            state = match self.poll_wait(&job, wait)? {
                 Response::Status { state, error, .. } => {
                     if state.is_terminal() && state != JobState::Done {
                         return Err(ClientError::JobFailed {
@@ -322,6 +389,12 @@ impl Client {
                     )))
                 }
             };
+            // An unfinished job answered before the wait ran out means the
+            // server held no poll for it (it holds a bounded number); fall
+            // back to polling on the interval rather than spin.
+            if !state.is_terminal() && asked.elapsed() < wait {
+                std::thread::sleep(self.poll_interval);
+            }
         }
         if state != JobState::Done {
             return Err(ClientError::JobFailed {

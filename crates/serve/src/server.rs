@@ -2,38 +2,81 @@
 //!
 //! Architecture (all std, no external dependencies):
 //!
-//! * an **accept loop** (non-blocking, polled) hands each connection to a
-//!   scoped handler thread speaking the newline-delimited envelope
-//!   protocol of [`redbin::wire`];
+//! * a **blocking accept loop** hands each connection through a bounded
+//!   hand-off queue ([`HANDOFF_QUEUE`]) to a fixed pool of
+//!   [`ServeConfig::handlers`] **handler threads**; a connection that
+//!   finds the queue full is answered by the accept loop itself with a
+//!   [`BUSY`] error envelope, which [`crate::Client`] retries. A handler
+//!   reads **one request line** of at most [`MAX_REQUEST_BYTES`] within
+//!   [`READ_DEADLINE`], answers it in the newline-delimited envelope
+//!   protocol of [`redbin::wire`], and closes the connection;
 //! * a **bounded queue** feeds a fixed **worker pool**; a full queue
 //!   answers `submit` with an explicit `retry-after` envelope instead of
 //!   blocking the connection (backpressure, never a hang);
 //! * results land in the **content-addressed cache** ([`crate::cache`]),
 //!   so a resubmission of the same fully-resolved configuration is served
 //!   `Done` immediately and fetches byte-identically;
+//! * a `poll` carrying `wait-ms` on an unfinished job is **held**: the
+//!   handler parks the connection in the shared state and moves on, and
+//!   whichever thread moves the job into a terminal state answers it, so
+//!   a client learns a job ended as soon as it does while no thread waits
+//!   on its behalf. The reaper answers held polls whose wait ran out;
 //! * a **reaper** tick expires queued jobs whose deadline passed and sets
 //!   the cancellation flag of late running jobs (cooperatively honored —
 //!   synthetic sleep jobs stop within ~10 ms; simulator experiments run
 //!   to completion and are then marked expired without poisoning the
-//!   cache);
+//!   cache). It also turns the external shutdown flag into a drain;
+//! * terminal job records are evicted once they leave the window of the
+//!   last [`ServeConfig::completed_log`] terminal jobs, so memory does not
+//!   grow with the lifetime job count; a done job still answers `poll` and
+//!   `fetch` from the cache;
 //! * **graceful shutdown** — a `shutdown` envelope or an external signal
-//!   flag (SIGTERM in the binary) — stops intake, drains every accepted
-//!   job, and only then lets [`Server::run`] return.
+//!   flag (SIGTERM in the binary) — stops intake, wakes the blocked accept
+//!   by connecting to the server's own address once, closes connections
+//!   that have not sent a request, drains every accepted job, and only
+//!   then lets [`Server::run`] return.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use redbin::json::Json;
 use redbin::sim::stats::StallCause;
 use redbin::telemetry::{Clock, Deadline, MetricsRegistry, DEFAULT_TIME_BOUNDS_MS};
-use redbin::wire::{JobSpec, JobState, Request, Response};
+use redbin::wire::{ExperimentKind, JobSpec, JobState, Request, Response, MAX_POLL_WAIT_MS};
+use redbin::workload::Scale;
 
 use crate::cache::ResultCache;
+
+/// The longest request line a handler reads; a longer one is answered
+/// with a `request too large` error. Custom sources are ~12 KB.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// Connections accepted but not yet taken by a handler. Past this the
+/// accept loop answers `server busy` itself.
+pub const HANDOFF_QUEUE: usize = 16;
+
+/// The time a client gets to deliver its request line, from the moment a
+/// handler takes the connection. It bounds how long an idle or slow
+/// socket can hold a handler.
+pub const READ_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Socket write timeout for a response.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The reaper's tick: deadline enforcement, held-poll expiry and
+/// shutdown-flag latency. Handlers waiting for a request line check for a
+/// drain on the same tick.
+const REAPER_TICK: Duration = Duration::from_millis(25);
+
+/// How the `error` envelope that refuses a connection past the hand-off
+/// queue begins. The request was never read, so a client may resend it.
+pub const BUSY: &str = "server busy";
 
 /// Tuning knobs for a server instance.
 #[derive(Debug, Clone)]
@@ -52,7 +95,8 @@ pub struct ServeConfig {
     pub retry_after_secs: u64,
     /// Result-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Completed-job records kept for the `stats` response.
+    /// Completed-job records kept for the `stats` response; also the
+    /// number of terminal job records kept for `poll` before eviction.
     pub completed_log: usize,
 }
 
@@ -72,6 +116,23 @@ impl Default for ServeConfig {
     }
 }
 
+impl ServeConfig {
+    /// Connection handler threads: one per worker plus two. A handler is
+    /// busy only while it reads and answers one request (held polls do not
+    /// occupy it), and each thread that allocates at the same time costs
+    /// its own malloc arena, so the pool stays small.
+    pub fn handlers(&self) -> usize {
+        self.workers.max(1) + 2
+    }
+
+    /// Polls held at once: four waiting clients for every job the server
+    /// admits (queued plus running). Past it a waiting poll is answered at
+    /// once, and the client falls back to [`crate::Client::poll_interval`].
+    pub fn held_polls(&self) -> usize {
+        4 * (self.queue_capacity + self.workers.max(1))
+    }
+}
+
 /// One tracked submission.
 #[derive(Debug)]
 struct JobRecord {
@@ -81,13 +142,27 @@ struct JobRecord {
     deadline: Option<Deadline>,
     queued_at: Clock,
     cancelled: Arc<AtomicBool>,
+    /// The submission number, which tells this record from a later
+    /// resubmission of the same id.
+    seq: u64,
+}
+
+/// A `poll` whose answer waits until its job ends or its wait runs out.
+/// The stream is non-blocking, so answering it never stalls the thread
+/// that ends the job: a short line fits the empty send buffer at once.
+#[derive(Debug)]
+struct HeldPoll {
+    job: String,
+    stream: TcpStream,
+    until: Deadline,
 }
 
 /// A completed-job line for the `stats` response.
 #[derive(Debug, Clone)]
 struct CompletedJob {
     id: String,
-    spec: JobSpec,
+    kind: ExperimentKind,
+    scale: Scale,
     state: JobState,
     wall_seconds: f64,
     stall_causes: Vec<(String, u64)>,
@@ -114,19 +189,103 @@ struct Inner {
     counters: Counters,
     busy: usize,
     draining: bool,
+    /// The most recent executions, for `stats`.
+    completed: VecDeque<CompletedJob>,
+    /// Terminal records in the order they ended, with their submission
+    /// numbers: the eviction window.
+    ended: VecDeque<(String, u64)>,
+    /// Polls waiting for their job to end, at most
+    /// [`ServeConfig::held_polls`].
+    held: Vec<HeldPoll>,
 }
 
 struct Shared {
     cfg: ServeConfig,
     inner: Mutex<Inner>,
+    /// Signalled when a job is queued and when draining begins.
     work: Condvar,
     started: Clock,
-    completed: Mutex<VecDeque<CompletedJob>>,
     /// Persistent per-job timing histograms behind the `metrics` request
     /// (`job-queue-ms`: submit→dequeue wait, `job-service-ms`: worker
     /// execution time). Counters and gauges are point-in-time snapshots of
     /// [`Inner`] and are added at render time.
     metrics: Mutex<MetricsRegistry>,
+    /// The listener's own address, connected to once to wake the blocked
+    /// accept when draining begins.
+    wake_addr: SocketAddr,
+}
+
+impl Shared {
+    fn new(cfg: ServeConfig, wake_addr: SocketAddr) -> Shared {
+        let mut metrics = MetricsRegistry::new();
+        metrics.register_histogram("job-queue-ms", DEFAULT_TIME_BOUNDS_MS);
+        metrics.register_histogram("job-service-ms", DEFAULT_TIME_BOUNDS_MS);
+        Shared {
+            inner: Mutex::new(Inner {
+                queue: VecDeque::new(),
+                jobs: HashMap::new(),
+                cache: ResultCache::new(cfg.cache_capacity),
+                counters: Counters::default(),
+                busy: 0,
+                draining: false,
+                completed: VecDeque::new(),
+                ended: VecDeque::new(),
+                held: Vec::new(),
+            }),
+            cfg,
+            work: Condvar::new(),
+            started: Clock::now(),
+            metrics: Mutex::new(metrics),
+            wake_addr,
+        }
+    }
+}
+
+/// Moves job `id` into a terminal `state`, counts it, answers the polls
+/// held on it, and evicts the record that falls out of the window of the
+/// last `completed_log` terminal records.
+fn finish(shared: &Shared, inner: &mut Inner, id: &str, state: JobState, error: Option<String>) {
+    let Some(rec) = inner.jobs.get_mut(id) else {
+        return;
+    };
+    rec.state = state;
+    rec.error = error;
+    let seq = rec.seq;
+    match state {
+        JobState::Done => inner.counters.completed += 1,
+        JobState::Failed => inner.counters.failed += 1,
+        JobState::Expired => inner.counters.expired += 1,
+        // Callers pass only terminal states; counting a non-terminal as
+        // failed keeps the books consistent if that ever changes.
+        JobState::Queued | JobState::Running => {
+            debug_assert!(false, "jobs only finish into terminal states");
+            inner.counters.failed += 1;
+        }
+    }
+    release_held(inner, |held| held.job == id);
+    inner.ended.push_back((id.to_string(), seq));
+    while inner.ended.len() > shared.cfg.completed_log {
+        let Some((old, seq)) = inner.ended.pop_front() else {
+            break;
+        };
+        // The id may have been resubmitted since; keep that record.
+        if inner.jobs.get(&old).is_some_and(|r| r.seq == seq) {
+            inner.jobs.remove(&old);
+        }
+    }
+}
+
+/// Answers and closes every held poll that `due` selects, with its job's
+/// state as `poll` reports it.
+fn release_held(inner: &mut Inner, due: impl Fn(&HeldPoll) -> bool) {
+    let (answer, keep) = std::mem::take(&mut inner.held)
+        .into_iter()
+        .partition::<Vec<_>, _>(|held| due(held));
+    inner.held = keep;
+    for held in answer {
+        // A peer that has gone away only loses its own answer.
+        let _ = write_response(&held.stream, &poll_status(inner, &held.job));
+    }
 }
 
 /// Locks the shared state, recovering from poisoning: one panicking
@@ -134,18 +293,7 @@ struct Shared {
 /// consistent at every await-free critical section, so the data behind a
 /// poisoned lock is still well-formed.
 fn lock_inner(shared: &Shared) -> std::sync::MutexGuard<'_, Inner> {
-    shared
-        .inner
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Locks the completed-job log with the same poisoning policy.
-fn lock_completed(shared: &Shared) -> std::sync::MutexGuard<'_, VecDeque<CompletedJob>> {
-    shared
-        .completed
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    shared.inner.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Locks the metrics registry with the same poisoning policy.
@@ -153,13 +301,13 @@ fn lock_metrics(shared: &Shared) -> std::sync::MutexGuard<'_, MetricsRegistry> {
     shared
         .metrics
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A bound-but-not-yet-running job server.
 pub struct Server {
     listener: TcpListener,
-    shared: Arc<Shared>,
+    shared: Shared,
     shutdown: Arc<AtomicBool>,
 }
 
@@ -171,28 +319,17 @@ impl Server {
     /// Propagates socket errors.
     pub fn bind(addr: impl ToSocketAddrs, cfg: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let cache_capacity = cfg.cache_capacity;
-        let mut metrics = MetricsRegistry::new();
-        metrics.register_histogram("job-queue-ms", DEFAULT_TIME_BOUNDS_MS);
-        metrics.register_histogram("job-service-ms", DEFAULT_TIME_BOUNDS_MS);
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(if wake_addr.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
+        }
         Ok(Server {
             listener,
-            shared: Arc::new(Shared {
-                cfg,
-                inner: Mutex::new(Inner {
-                    queue: VecDeque::new(),
-                    jobs: HashMap::new(),
-                    cache: ResultCache::new(cache_capacity),
-                    counters: Counters::default(),
-                    busy: 0,
-                    draining: false,
-                }),
-                work: Condvar::new(),
-                started: Clock::now(),
-                completed: Mutex::new(VecDeque::new()),
-                metrics: Mutex::new(metrics),
-            }),
+            shared: Shared::new(cfg, wake_addr),
             shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -208,6 +345,7 @@ impl Server {
 
     /// A flag that, once set (e.g. from a SIGTERM handler), makes the
     /// server stop accepting work, drain, and return from [`Server::run`].
+    /// The reaper notices it within one 25 ms tick.
     pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.shutdown)
     }
@@ -218,78 +356,118 @@ impl Server {
     /// # Errors
     ///
     /// Propagates accept-loop socket errors (per-connection errors only
-    /// drop that connection).
+    /// drop that connection). The accepted jobs still drain first.
     pub fn run(self) -> std::io::Result<()> {
-        let shared = &self.shared;
-        let shutdown = &self.shutdown;
-        std::thread::scope(|scope| -> std::io::Result<()> {
+        let Server {
+            listener,
+            shared,
+            shutdown,
+        } = self;
+        let shared = &shared;
+        let (handoff, incoming) = std::sync::mpsc::sync_channel(HANDOFF_QUEUE);
+        let incoming = Mutex::new(incoming);
+        std::thread::scope(|scope| {
             for worker in 0..shared.cfg.workers.max(1) {
-                let shared = Arc::clone(shared);
                 std::thread::Builder::new()
                     .name(format!("redbin-worker-{worker}"))
-                    .spawn_scoped(scope, move || worker_loop(&shared))
+                    .spawn_scoped(scope, || worker_loop(shared))
                     // Startup-only: no pool means no service at all.
                     // redbin-lint: allow(no-panic)
                     .expect("spawn worker");
             }
-            {
-                let shared = Arc::clone(shared);
-                let shutdown = Arc::clone(shutdown);
+            for handler in 0..shared.cfg.handlers() {
                 std::thread::Builder::new()
-                    .name("redbin-reaper".into())
-                    .spawn_scoped(scope, move || reaper_loop(&shared, &shutdown))
-                    // Startup-only: deadlines need the reaper to exist.
+                    .name(format!("redbin-conn-{handler}"))
+                    .spawn_scoped(scope, || handler_loop(shared, &incoming))
+                    // Startup-only: connections need a handler to exist.
                     // redbin-lint: allow(no-panic)
-                    .expect("spawn reaper");
+                    .expect("spawn connection handler");
             }
+            std::thread::Builder::new()
+                .name("redbin-reaper".into())
+                .spawn_scoped(scope, || reaper_loop(shared, &shutdown))
+                // Startup-only: deadlines need the reaper to exist.
+                // redbin-lint: allow(no-panic)
+                .expect("spawn reaper");
 
-            // Accept loop: polled so the external shutdown flag is honored
-            // even with no inbound traffic.
-            loop {
-                if self.shutdown.load(Ordering::Relaxed) {
-                    begin_drain(shared);
-                }
-                if lock_inner(shared).draining {
-                    break;
-                }
-                match self.listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let shared = Arc::clone(shared);
-                        let shutdown = Arc::clone(shutdown);
-                        // A failed spawn (thread exhaustion) drops the
-                        // stream, which closes this one connection; the
-                        // server itself keeps accepting.
-                        let _ = std::thread::Builder::new()
-                            .name("redbin-conn".into())
-                            .spawn_scoped(scope, move || {
-                                let _ = handle_connection(stream, &shared, &shutdown);
-                            });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-
-            // Drain: workers exit once the queue is empty and nothing runs.
-            shared.work.notify_all();
-            self.shutdown.store(true, Ordering::Relaxed); // reaper + conns exit
-            Ok(())
+            let accepted = accept_loop(&listener, shared, &handoff);
+            // Nothing new is accepted past here (after an accept error, this
+            // is where the drain starts). Handlers answer the queued
+            // connections and exit once the channel is empty; workers drain
+            // the job queue; the reaper exits once nothing is outstanding.
+            drop(handoff);
+            begin_drain(shared);
+            accepted
         })
     }
 }
 
-/// Puts the server into draining mode (idempotent).
+/// Accepts until draining begins, handing each connection to the pool.
+fn accept_loop(
+    listener: &TcpListener,
+    shared: &Shared,
+    handoff: &SyncSender<TcpStream>,
+) -> std::io::Result<()> {
+    loop {
+        let accepted = listener.accept();
+        // Draining wakes this accept with a connection of its own.
+        if lock_inner(shared).draining {
+            return Ok(());
+        }
+        match accepted {
+            Ok((stream, _peer)) => match handoff.try_send(stream) {
+                Ok(()) => {}
+                Err(TrySendError::Full(stream) | TrySendError::Disconnected(stream)) => {
+                    answer_busy(&stream, shared.cfg.handlers());
+                }
+            },
+            // The peer gave up while queued in the backlog, or a signal
+            // interrupted the call: neither is the listener's fault.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::ConnectionAborted
+                        | std::io::ErrorKind::ConnectionReset
+                        | std::io::ErrorKind::Interrupted
+                ) => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Puts the server into draining mode (idempotent). The first call wakes
+/// the accept loop, blocked in `accept`, by connecting to the server's own
+/// address once; the accept loop drops that connection unread.
 fn begin_drain(shared: &Shared) {
-    let mut inner = lock_inner(shared);
-    inner.draining = true;
+    let first = !std::mem::replace(&mut lock_inner(shared).draining, true);
     shared.work.notify_all();
+    if first {
+        let _ = TcpStream::connect_timeout(&shared.wake_addr, Duration::from_secs(1));
+    }
 }
 
 /// Jobs not yet finished (queued + running) — reported in `bye`.
 fn outstanding(inner: &Inner) -> u64 {
     inner.queue.len() as u64 + inner.busy as u64
+}
+
+/// A connection handler: serves the connections the accept loop hands
+/// over, one at a time, until the accept loop is gone and the hand-off
+/// queue is empty.
+fn handler_loop(shared: &Shared, incoming: &Mutex<Receiver<TcpStream>>) {
+    loop {
+        // The lock is held only while waiting for the next connection.
+        let next = incoming
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .recv();
+        let Ok(stream) = next else {
+            return;
+        };
+        // One connection's failure, or a panic while serving it, closes
+        // that connection and must not cost the pool a thread.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| handle_connection(stream, shared)));
+    }
 }
 
 fn worker_loop(shared: &Shared) {
@@ -299,17 +477,22 @@ fn worker_loop(shared: &Shared) {
             loop {
                 if let Some(id) = inner.queue.pop_front() {
                     // Every queued id has a record (submit inserts both under
-                    // one lock); a missing one means the record was torn down,
-                    // and the only safe move is to skip the orphaned id.
+                    // one lock, and only terminal records are evicted); a
+                    // missing one means the record was torn down, and the
+                    // only safe move is to skip the orphaned id.
                     let Some(rec) = inner.jobs.get_mut(&id) else {
                         continue;
                     };
                     // Deadline may have passed while queued (the reaper also
                     // sweeps, but this close the last race).
                     if rec.deadline.is_some_and(|d| d.expired()) {
-                        rec.state = JobState::Expired;
-                        rec.error = Some("deadline exceeded while queued".into());
-                        inner.counters.expired += 1;
+                        finish(
+                            shared,
+                            &mut inner,
+                            &id,
+                            JobState::Expired,
+                            Some("deadline exceeded while queued".into()),
+                        );
                         continue;
                     }
                     rec.state = JobState::Running;
@@ -329,7 +512,7 @@ fn worker_loop(shared: &Shared) {
                 let (guard, _timeout) = shared
                     .work
                     .wait_timeout(inner, Duration::from_millis(100))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    .unwrap_or_else(PoisonError::into_inner);
                 inner = guard;
             }
         };
@@ -379,44 +562,37 @@ fn worker_loop(shared: &Shared) {
             }
             Err(panic) => (JobState::Failed, Some(panic_message(&panic)), Vec::new()),
         };
-        match state {
-            JobState::Done => inner.counters.completed += 1,
-            JobState::Failed => inner.counters.failed += 1,
-            JobState::Expired => inner.counters.expired += 1,
-            // The arms above construct only terminal states; counting a
-            // non-terminal as failed keeps the books consistent if that
-            // ever changes.
-            JobState::Queued | JobState::Running => {
-                debug_assert!(false, "workers only finish into terminal states");
-                inner.counters.failed += 1;
-            }
-        }
-        if let Some(rec) = inner.jobs.get_mut(&id) {
-            rec.state = state;
-            rec.error = error;
-        }
-        drop(inner);
-
-        let mut completed = lock_completed(shared);
-        completed.push_back(CompletedJob {
+        finish(shared, &mut inner, &id, state, error);
+        inner.completed.push_back(CompletedJob {
             id,
-            spec: record_spec,
+            kind: record_spec.kind,
+            scale: record_spec.scale,
             state,
             wall_seconds,
             stall_causes,
         });
-        while completed.len() > shared.cfg.completed_log {
-            completed.pop_front();
+        while inner.completed.len() > shared.cfg.completed_log {
+            inner.completed.pop_front();
         }
     }
 }
 
 /// Periodically expires queued jobs past their deadline and cancels late
-/// running jobs.
+/// running jobs; starts the drain once the external shutdown flag is set.
+/// Returns once draining has begun and no job is outstanding.
 fn reaper_loop(shared: &Shared, shutdown: &AtomicBool) {
-    while !shutdown.load(Ordering::Relaxed) {
-        std::thread::sleep(Duration::from_millis(25));
+    loop {
+        std::thread::sleep(REAPER_TICK);
+        if shutdown.load(Ordering::Relaxed) {
+            begin_drain(shared);
+        }
         let mut inner = lock_inner(shared);
+        if inner.draining && outstanding(&inner) == 0 {
+            // Every job has ended, so no poll is left holding; answer any
+            // that is rather than drop it unanswered.
+            release_held(&mut inner, |_| true);
+            return;
+        }
         let mut expired_ids = Vec::new();
         {
             let Inner { queue, jobs, .. } = &mut *inner;
@@ -431,17 +607,20 @@ fn reaper_loop(shared: &Shared, shutdown: &AtomicBool) {
             });
         }
         for id in expired_ids {
-            if let Some(rec) = inner.jobs.get_mut(&id) {
-                rec.state = JobState::Expired;
-                rec.error = Some("deadline exceeded while queued".into());
-                inner.counters.expired += 1;
-            }
+            finish(
+                shared,
+                &mut inner,
+                &id,
+                JobState::Expired,
+                Some("deadline exceeded while queued".into()),
+            );
         }
         for rec in inner.jobs.values_mut() {
             if rec.state == JobState::Running && rec.deadline.is_some_and(|d| d.expired()) {
                 rec.cancelled.store(true, Ordering::Relaxed);
             }
         }
+        release_held(&mut inner, |held| held.until.expired());
     }
 }
 
@@ -497,87 +676,177 @@ fn aggregate_stall_causes(body: &Json) -> Vec<(String, u64)> {
         .collect()
 }
 
-fn handle_connection(
-    stream: TcpStream,
+/// What a handler read from its connection.
+enum Incoming {
+    /// The peer closed without sending a byte.
+    Nothing,
+    /// One request line, without its newline.
+    Line(Vec<u8>),
+    /// More than [`MAX_REQUEST_BYTES`] arrived before a newline.
+    TooLarge,
+}
+
+/// Reads once from `stream` (whose read timeout is [`REAPER_TICK`]),
+/// giving up once `deadline` passes or the server starts draining.
+fn read_before(
+    mut stream: &TcpStream,
+    deadline: &Deadline,
     shared: &Shared,
-    shutdown: &AtomicBool,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(250)))?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    buf: &mut [u8],
+) -> std::io::Result<usize> {
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) => {
-                let (response, drain_after) = handle_line(line.trim(), shared);
-                writer.write_all(response.to_line().as_bytes())?;
-                writer.write_all(b"\n")?;
-                writer.flush()?;
-                if drain_after {
-                    begin_drain(shared);
-                    return Ok(());
-                }
-                line.clear();
-            }
+        match stream.read(buf) {
             Err(e)
                 if matches!(
                     e.kind(),
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                // Idle tick: keep any partial line buffered, but stop
-                // serving once shutdown begins.
-                if shutdown.load(Ordering::Relaxed)
-                    || lock_inner(shared).draining
-                {
-                    return Ok(());
+                if deadline.expired() || lock_inner(shared).draining {
+                    return Err(e);
                 }
             }
-            Err(e) => return Err(e),
+            read => return read,
         }
     }
 }
 
-/// Dispatches one request line; returns the response and whether the
-/// server should begin draining afterwards.
-fn handle_line(line: &str, shared: &Shared) -> (Response, bool) {
+/// Reads one request line of at most [`MAX_REQUEST_BYTES`] by `deadline`.
+/// Bytes after the first newline are ignored: one request per connection.
+fn read_request(
+    stream: &TcpStream,
+    deadline: &Deadline,
+    shared: &Shared,
+) -> std::io::Result<Incoming> {
+    let mut line = Vec::new();
+    let mut chunk = [0u8; 8192];
+    loop {
+        let n = read_before(stream, deadline, shared, &mut chunk)?;
+        if n == 0 {
+            return Ok(if line.is_empty() {
+                Incoming::Nothing
+            } else {
+                Incoming::Line(line)
+            });
+        }
+        let newline = chunk[..n].iter().position(|&c| c == b'\n');
+        line.extend_from_slice(&chunk[..newline.unwrap_or(n)]);
+        if line.len() > MAX_REQUEST_BYTES {
+            return Ok(Incoming::TooLarge);
+        }
+        if newline.is_some() {
+            return Ok(Incoming::Line(line));
+        }
+    }
+}
+
+/// Writes one response line.
+fn write_response(mut stream: &TcpStream, response: &Response) -> std::io::Result<()> {
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    let mut line = response.to_line();
+    line.push('\n');
+    stream.write_all(line.as_bytes())?;
+    stream.flush()
+}
+
+/// Answers a connection that no handler can take, then closes it. The
+/// accept loop never waits on the peer here: a fresh socket's send buffer
+/// takes the short answer at once.
+fn answer_busy(stream: &TcpStream, handlers: usize) {
+    let busy = Response::Error {
+        message: format!(
+            "{BUSY}: {handlers} connection handlers and {HANDOFF_QUEUE} queued \
+             connections are taken; retry shortly"
+        ),
+    };
+    let _ = write_response(stream, &busy);
+    let _ = stream.shutdown(Shutdown::Write);
+}
+
+/// Serves one connection: reads one request line within [`READ_DEADLINE`],
+/// answers it, and closes. A waiting poll hands the connection to
+/// [`hold_poll`] instead.
+fn handle_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
+    let deadline = Deadline::after(READ_DEADLINE);
+    stream.set_read_timeout(Some(REAPER_TICK))?;
+    let reply = match read_request(&stream, &deadline, shared)? {
+        Incoming::Nothing => return Ok(()),
+        Incoming::TooLarge => {
+            let too_large = Response::Error {
+                message: format!(
+                    "request too large: more than {MAX_REQUEST_BYTES} bytes without a newline"
+                ),
+            };
+            write_response(&stream, &too_large)?;
+            // Read what the peer is still sending until it closes or the
+            // deadline passes: closing with unread input would reset the
+            // connection before the peer reads the answer.
+            stream.shutdown(Shutdown::Write)?;
+            let mut sink = [0u8; 8192];
+            while read_before(&stream, &deadline, shared, &mut sink)? > 0 {}
+            return Ok(());
+        }
+        Incoming::Line(bytes) => match String::from_utf8(bytes) {
+            Ok(line) => handle_line(line.trim(), shared),
+            Err(_) => Reply::Answer(Response::Error {
+                message: "request is not valid UTF-8".into(),
+            }),
+        },
+    };
+    match reply {
+        Reply::Answer(response) => write_response(&stream, &response),
+        Reply::AnswerThenDrain(response) => {
+            let written = write_response(&stream, &response);
+            begin_drain(shared);
+            written
+        }
+        Reply::Hold { job, wait } => hold_poll(stream, job, wait, shared),
+    }
+}
+
+/// What a handler does with a dispatched request.
+#[derive(Debug)]
+enum Reply {
+    /// Write the response and close.
+    Answer(Response),
+    /// Write the response, close, and begin draining (`shutdown`).
+    AnswerThenDrain(Response),
+    /// A `poll` with a wait: see [`hold_poll`].
+    Hold { job: String, wait: Duration },
+}
+
+/// Dispatches one request line.
+fn handle_line(line: &str, shared: &Shared) -> Reply {
     let request = match Request::from_line(line) {
         Ok(r) => r,
         Err(e) => {
-            return (
-                Response::Error {
-                    message: e.to_string(),
-                },
-                false,
-            )
+            return Reply::Answer(Response::Error {
+                message: e.to_string(),
+            })
         }
     };
     match request {
-        Request::Submit { spec, deadline_ms } => (handle_submit(spec, deadline_ms, shared), false),
-        Request::Poll { job } => (handle_poll(&job, shared), false),
-        Request::Fetch { job } => (handle_fetch(&job, shared), false),
-        Request::Stats => (
-            Response::Stats {
-                body: stats_body(shared),
-            },
-            false,
-        ),
-        Request::Metrics => (
-            Response::Metrics {
-                text: metrics_text(shared),
-            },
-            false,
-        ),
-        Request::Shutdown => {
-            let inner = lock_inner(shared);
-            (
-                Response::Bye {
-                    draining: outstanding(&inner),
-                },
-                true,
-            )
+        Request::Submit { spec, deadline_ms } => {
+            Reply::Answer(handle_submit(spec, deadline_ms, shared))
         }
+        Request::Poll {
+            job,
+            wait_ms: Some(ms),
+        } if ms > 0 => Reply::Hold {
+            job,
+            wait: Duration::from_millis(ms.min(MAX_POLL_WAIT_MS)),
+        },
+        Request::Poll { job, .. } => Reply::Answer(poll_status(&lock_inner(shared), &job)),
+        Request::Fetch { job } => Reply::Answer(handle_fetch(&job, shared)),
+        Request::Stats => Reply::Answer(Response::Stats {
+            body: stats_body(shared),
+        }),
+        Request::Metrics => Reply::Answer(Response::Metrics {
+            text: metrics_text(shared),
+        }),
+        Request::Shutdown => Reply::AnswerThenDrain(Response::Bye {
+            draining: outstanding(&lock_inner(shared)),
+        }),
     }
 }
 
@@ -645,6 +914,7 @@ fn handle_submit(spec: JobSpec, deadline_ms: Option<u64>, shared: &Shared) -> Re
 
     let effective_ms = deadline_ms.unwrap_or(shared.cfg.default_deadline_ms);
     let deadline = (effective_ms > 0).then(|| Deadline::after(Duration::from_millis(effective_ms)));
+    let seq = inner.counters.submitted;
     inner.jobs.insert(
         id.clone(),
         JobRecord {
@@ -654,6 +924,7 @@ fn handle_submit(spec: JobSpec, deadline_ms: Option<u64>, shared: &Shared) -> Re
             deadline,
             queued_at: Clock::now(),
             cancelled: Arc::new(AtomicBool::new(false)),
+            seq,
         },
     );
     inner.queue.push_back(id.clone());
@@ -705,27 +976,45 @@ fn verdict_word(v: redbin_analyze::program::Verdict) -> &'static str {
     }
 }
 
-fn handle_poll(job: &str, shared: &Shared) -> Response {
-    let inner = lock_inner(shared);
-    // Cache presence alone answers done — the server may have restarted a
-    // record away, or the entry may come from an earlier submission.
-    if let Some(rec) = inner.jobs.get(job) {
-        Response::Status {
-            job: job.to_string(),
-            state: rec.state,
-            error: rec.error.clone(),
-        }
+/// The answer to a `poll` of `job`, held or not.
+fn poll_status(inner: &Inner, job: &str) -> Response {
+    // Cache presence alone answers done — the record may have been
+    // evicted, or the entry may come from an earlier submission.
+    let (state, error) = if let Some(rec) = inner.jobs.get(job) {
+        (rec.state, rec.error.clone())
     } else if inner.cache.peek(job).is_some() {
-        Response::Status {
-            job: job.to_string(),
-            state: JobState::Done,
-            error: None,
-        }
+        (JobState::Done, None)
     } else {
-        Response::Error {
+        return Response::Error {
             message: format!("unknown job `{job}`"),
-        }
+        };
+    };
+    Response::Status {
+        job: job.to_string(),
+        state,
+        error,
     }
+}
+
+/// Answers a `poll` that may wait up to `wait`. An unfinished job's poll
+/// is parked in [`Inner::held`], to be answered by [`finish`] or, once
+/// the wait runs out, by the reaper; the handler is free at once. Any
+/// other poll, or one past [`ServeConfig::held_polls`], is answered now.
+fn hold_poll(stream: TcpStream, job: String, wait: Duration, shared: &Shared) -> std::io::Result<()> {
+    let mut inner = lock_inner(shared);
+    let status = poll_status(&inner, &job);
+    let unfinished = matches!(&status, Response::Status { state, .. } if !state.is_terminal());
+    if !unfinished || inner.held.len() >= shared.cfg.held_polls() {
+        drop(inner);
+        return write_response(&stream, &status);
+    }
+    stream.set_nonblocking(true)?;
+    inner.held.push(HeldPoll {
+        job,
+        stream,
+        until: Deadline::after(wait),
+    });
+    Ok(())
 }
 
 fn handle_fetch(job: &str, shared: &Shared) -> Response {
@@ -792,18 +1081,17 @@ fn stats_body(shared: &Shared) -> Json {
     cache.set("misses", Json::UInt(inner.cache.misses()));
     cache.set("hit-rate", Json::Num(inner.cache.hit_rate()));
     body.set("cache", cache);
-    drop(inner);
 
-    let completed = lock_completed(shared);
-    let rows: Vec<Json> = completed
+    let rows: Vec<Json> = inner
+        .completed
         .iter()
         .map(|c| {
             let mut o = Json::object();
             o.set("job", Json::Str(c.id.clone()));
-            o.set("experiment", Json::Str(c.spec.kind.name().to_string()));
+            o.set("experiment", Json::Str(c.kind.name().to_string()));
             o.set(
                 "scale",
-                Json::Str(redbin::wire::scale_name(c.spec.scale).to_string()),
+                Json::Str(redbin::wire::scale_name(c.scale).to_string()),
             );
             o.set("state", Json::Str(c.state.name().to_string()));
             o.set("wall-seconds", Json::Num(c.wall_seconds));
@@ -887,35 +1175,19 @@ mod tests {
         assert!(aggregate_stall_causes(&doc).is_empty());
     }
 
-    fn test_shared() -> Shared {
-        let mut metrics = MetricsRegistry::new();
-        metrics.register_histogram("job-queue-ms", DEFAULT_TIME_BOUNDS_MS);
-        metrics.register_histogram("job-service-ms", DEFAULT_TIME_BOUNDS_MS);
-        Shared {
-            cfg: ServeConfig::default(),
-            inner: Mutex::new(Inner {
-                queue: VecDeque::new(),
-                jobs: HashMap::new(),
-                cache: ResultCache::new(4),
-                counters: Counters::default(),
-                busy: 0,
-                draining: false,
-            }),
-            work: Condvar::new(),
-            started: Clock::now(),
-            completed: Mutex::new(VecDeque::new()),
-            metrics: Mutex::new(metrics),
-        }
+    /// A server state with no listener; draining connects nowhere.
+    fn test_shared(cfg: ServeConfig) -> Shared {
+        Shared::new(cfg, SocketAddr::from(([127, 0, 0, 1], 0)))
     }
 
     #[test]
     fn metrics_request_renders_histograms_and_counters() {
-        let shared = test_shared();
+        let shared = test_shared(ServeConfig::default());
         lock_metrics(&shared).observe("job-service-ms", 7);
         lock_inner(&shared).counters.submitted = 3;
-        let (response, drain) = handle_line(&Request::Metrics.to_line(), &shared);
-        assert!(!drain);
-        let Response::Metrics { text } = response else {
+        let Reply::Answer(Response::Metrics { text }) =
+            handle_line(&Request::Metrics.to_line(), &shared)
+        else {
             panic!("expected a metrics response");
         };
         assert!(text.contains("# TYPE job-service-ms histogram"));
@@ -926,9 +1198,146 @@ mod tests {
 
     #[test]
     fn metrics_text_is_safe_on_an_idle_server() {
-        let shared = test_shared();
+        let shared = test_shared(ServeConfig::default());
         let text = metrics_text(&shared);
         assert!(text.contains("job-queue-ms-count 0"));
         assert!(text.contains("worker-utilization 0"));
+    }
+
+    #[test]
+    fn terminal_records_are_evicted_past_the_completed_log_window() {
+        let window = 4;
+        let shared = test_shared(ServeConfig {
+            completed_log: window,
+            ..ServeConfig::default()
+        });
+        let ids: Vec<String> = (0..3 * window as u64)
+            .map(
+                |ms| match handle_submit(JobSpec::sleep(ms), None, &shared) {
+                    Response::Accepted { job, .. } => job,
+                    other => panic!("expected acceptance, got {other:?}"),
+                },
+            )
+            .collect();
+        // A draining worker runs the queue dry, then returns.
+        begin_drain(&shared);
+        worker_loop(&shared);
+        let inner = lock_inner(&shared);
+        assert!(inner.jobs.len() <= window, "{} records", inner.jobs.len());
+        assert_eq!(inner.ended.len(), window);
+        assert_eq!(inner.completed.len(), window);
+        assert_eq!(inner.counters.completed, 3 * window as u64);
+        drop(inner);
+        // An evicted done job still answers poll and fetch from the cache.
+        assert_eq!(
+            poll_status(&lock_inner(&shared), &ids[0]),
+            Response::Status {
+                job: ids[0].clone(),
+                state: JobState::Done,
+                error: None,
+            }
+        );
+        assert!(matches!(
+            handle_fetch(&ids[0], &shared),
+            Response::Result { .. }
+        ));
+    }
+
+    #[test]
+    fn a_resubmitted_id_keeps_its_new_record() {
+        let shared = test_shared(ServeConfig {
+            completed_log: 1,
+            ..ServeConfig::default()
+        });
+        let spec = JobSpec::sleep(5);
+        let id = spec.job_id();
+        let mut inner = lock_inner(&shared);
+        for seq in 0..2 {
+            inner.jobs.insert(
+                id.clone(),
+                JobRecord {
+                    spec: spec.clone(),
+                    state: JobState::Queued,
+                    error: None,
+                    deadline: None,
+                    queued_at: Clock::now(),
+                    cancelled: Arc::new(AtomicBool::new(false)),
+                    seq,
+                },
+            );
+            finish(&shared, &mut inner, &id, JobState::Expired, None);
+        }
+        // The first record's window slot ran out after the second record
+        // replaced it: the second record, still in the window, stays.
+        assert_eq!(inner.jobs.get(&id).map(|r| r.seq), Some(1));
+        assert_eq!(inner.counters.expired, 2);
+    }
+
+    /// Reads the one response line a connection gets.
+    fn read_reply(stream: TcpStream) -> Response {
+        use std::io::BufRead;
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let mut line = String::new();
+        std::io::BufReader::new(stream)
+            .read_line(&mut line)
+            .expect("read");
+        Response::from_line(&line).expect("an envelope")
+    }
+
+    #[test]
+    fn held_polls_are_answered_when_their_job_ends_and_capped() {
+        let shared = test_shared(ServeConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServeConfig::default()
+        });
+        let Response::Accepted { job, .. } = handle_submit(JobSpec::sleep(5), None, &shared) else {
+            panic!("expected acceptance");
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let cap = shared.cfg.held_polls();
+        let clients: Vec<TcpStream> = (0..=cap)
+            .map(|_| {
+                let client = TcpStream::connect(addr).expect("connect");
+                let (conn, _) = listener.accept().expect("accept");
+                hold_poll(conn, job.clone(), Duration::from_secs(60), &shared).expect("hold");
+                client
+            })
+            .collect();
+        assert_eq!(lock_inner(&shared).held.len(), cap);
+        let mut clients = clients.into_iter();
+        // The poll past the cap is answered at once with the job's state.
+        let Some(late) = clients.next_back() else {
+            panic!("no clients");
+        };
+        assert!(matches!(
+            read_reply(late),
+            Response::Status {
+                state: JobState::Queued,
+                ..
+            }
+        ));
+        // Ending the job answers every held poll with its terminal state.
+        finish(
+            &shared,
+            &mut lock_inner(&shared),
+            &job,
+            JobState::Expired,
+            Some("test".into()),
+        );
+        assert!(lock_inner(&shared).held.is_empty());
+        for client in clients {
+            assert_eq!(
+                read_reply(client),
+                Response::Status {
+                    job: job.clone(),
+                    state: JobState::Expired,
+                    error: Some("test".into()),
+                }
+            );
+        }
     }
 }

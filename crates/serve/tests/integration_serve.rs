@@ -8,13 +8,24 @@
 //! * queue-full backpressure (`retry-after`, not a hang);
 //! * deadline-exceeded (expired while queued, and cancellation of a late
 //!   running job);
-//! * graceful shutdown draining in-flight jobs.
+//! * graceful shutdown draining in-flight jobs, an idle server waking its
+//!   blocked accept when the shutdown flag is set, and idle connections
+//!   closed by the drain;
+//! * polls that the server holds until the job ends, for more waiting
+//!   clients than there are handler threads and hand-off slots;
+//! * the bounded connection path: one request line of at most
+//!   `MAX_REQUEST_BYTES`, and a `server busy` answer past the handler pool
+//!   and its hand-off queue, which the client retries.
 
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use redbin::json::Json;
-use redbin::wire::{ExperimentKind, JobSpec, JobState, Response};
+use redbin::telemetry::Clock;
+use redbin::wire::{ExperimentKind, JobSpec, JobState, Response, MAX_POLL_WAIT_MS};
 use redbin::workload::Scale;
+use redbin_serve::server::{BUSY, HANDOFF_QUEUE, MAX_REQUEST_BYTES, READ_DEADLINE};
 use redbin_serve::{Client, ClientError, RetryPolicy, ServeConfig, Server};
 
 /// Binds a server on an ephemeral loopback port and runs it on a
@@ -416,7 +427,348 @@ fn external_shutdown_flag_drains_like_sigterm() {
     handle.join().expect("server thread").expect("clean exit");
 }
 
+#[test]
+fn idle_server_drains_once_the_shutdown_flag_is_set() {
+    // No traffic at all: the accept loop is blocked in `accept`, and only
+    // the server's own wake-up connection can release it.
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind");
+    let addr = server.local_addr().expect("addr").to_string();
+    let flag = server.shutdown_flag();
+    let handle = std::thread::spawn(move || server.run());
+    // One answered request: the accept loop is running and back in accept.
+    Client::new(addr).stats().expect("stats");
+    flag.store(true, std::sync::atomic::Ordering::Relaxed);
+    join_within(handle, Duration::from_secs(2)).expect("clean exit");
+}
+
+#[test]
+fn drain_closes_idle_connections() {
+    let cfg = ServeConfig::default();
+    // More idle connections than handlers, so some wait in the hand-off
+    // queue: neither those nor the ones a handler reads may hold the
+    // drain for their read deadline.
+    let idle_count = cfg.handlers() + 3;
+    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let addr = server.local_addr().expect("addr").to_string();
+    let flag = server.shutdown_flag();
+    let handle = std::thread::spawn(move || server.run());
+    let idle: Vec<TcpStream> = (0..idle_count)
+        .map(|_| TcpStream::connect(&addr).expect("connect"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(100));
+    flag.store(true, std::sync::atomic::Ordering::Relaxed);
+    join_within(handle, Duration::from_secs(1)).expect("clean exit");
+    drop(idle);
+}
+
+#[test]
+fn more_waiting_clients_than_handlers_all_complete() {
+    let cfg = ServeConfig {
+        workers: 1,
+        ..Default::default()
+    };
+    // Every caller holds a poll while one worker runs the jobs in turn:
+    // more waiting callers than handler threads and hand-off slots.
+    let callers = cfg.handlers() + HANDOFF_QUEUE + 4;
+    let (client, handle) = start_server(cfg);
+    std::thread::scope(|scope| {
+        let runs: Vec<_> = (0..callers as u64)
+            .map(|i| {
+                let client = client.clone();
+                scope.spawn(move || {
+                    client.run_to_completion(JobSpec::sleep(40 + i), None, Duration::from_secs(60))
+                })
+            })
+            .collect();
+        for run in runs {
+            let (_, body, _) = run.join().expect("caller thread").expect("job completes");
+            assert!(body.get("slept-ms").is_some(), "{}", body.to_compact());
+        }
+    });
+    let stats = client.stats().expect("stats");
+    let completed = stats
+        .get("jobs")
+        .and_then(|j| j.get("completed"))
+        .and_then(Json::as_u64);
+    assert_eq!(completed, Some(callers as u64));
+    shut_down(&client, handle);
+}
+
+#[test]
+fn waiting_poll_answers_when_the_job_ends() {
+    let (client, handle) = start_server(ServeConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    let t0 = Clock::now();
+    let Response::Accepted { job, .. } = client.submit(JobSpec::sleep(200), None).expect("submit")
+    else {
+        panic!("expected accepted")
+    };
+    let reply = client
+        .poll_wait(&job, Duration::from_millis(MAX_POLL_WAIT_MS))
+        .expect("poll");
+    let elapsed = t0.elapsed();
+    assert!(
+        matches!(reply, Response::Status { state: JobState::Done, .. }),
+        "{reply:?}"
+    );
+    // Answered when the 200 ms job ended, not when the 2 s wait ran out.
+    assert!(elapsed >= Duration::from_millis(200), "{elapsed:?}");
+    assert!(elapsed < Duration::from_millis(1_200), "{elapsed:?}");
+    shut_down(&client, handle);
+}
+
+#[test]
+fn waiting_poll_shorter_than_the_job_answers_running() {
+    let (client, handle) = start_server(ServeConfig {
+        workers: 1,
+        ..Default::default()
+    });
+    // A long sleep job that its 600 ms deadline cancels.
+    let Response::Accepted { job: running, .. } = client
+        .submit(JobSpec::sleep(60_000), Some(600))
+        .expect("submit running job")
+    else {
+        panic!("expected accepted")
+    };
+    wait_until(&client, |stats| {
+        stats.get("workers-busy").and_then(Json::as_u64) == Some(1)
+    });
+    let t0 = Clock::now();
+    let reply = client
+        .poll_wait(&running, Duration::from_millis(100))
+        .expect("poll");
+    assert!(
+        matches!(reply, Response::Status { state: JobState::Running, .. }),
+        "{reply:?}"
+    );
+    assert!(t0.elapsed() >= Duration::from_millis(100), "the poll was held");
+
+    // A queued job that the reaper expires wakes its waiting poll too.
+    let Response::Accepted { job: queued, .. } = client
+        .submit(JobSpec::sleep(1_000), Some(100))
+        .expect("submit queued job")
+    else {
+        panic!("expected accepted")
+    };
+    let t0 = Clock::now();
+    let reply = client
+        .poll_wait(&queued, Duration::from_millis(MAX_POLL_WAIT_MS))
+        .expect("poll");
+    assert!(
+        matches!(reply, Response::Status { state: JobState::Expired, .. }),
+        "{reply:?}"
+    );
+    assert!(t0.elapsed() < Duration::from_millis(1_200), "{:?}", t0.elapsed());
+
+    // The cancelled running job wakes its waiting poll as it ends.
+    let reply = client
+        .poll_wait(&running, Duration::from_millis(MAX_POLL_WAIT_MS))
+        .expect("poll");
+    assert!(
+        matches!(reply, Response::Status { state: JobState::Expired, .. }),
+        "{reply:?}"
+    );
+    shut_down(&client, handle);
+}
+
+#[test]
+fn connection_flood_gets_busy_and_the_server_recovers() {
+    let cfg = ServeConfig {
+        workers: 1,
+        ..Default::default()
+    };
+    let slots = cfg.handlers() + HANDOFF_QUEUE;
+    let (client, handle) = start_server(cfg);
+    // Idle connections: until its read deadline passes, each pins a
+    // handler or a hand-off slot, so at least `extra` of them are answered
+    // busy at once. Which ones depends on how fast the handlers take
+    // connections off the queue, so every connection is watched.
+    let extra = 4;
+    let flood: Vec<TcpStream> = (0..slots + extra)
+        .map(|_| {
+            let stream = TcpStream::connect(client.addr()).expect("connect");
+            stream.set_nonblocking(true).expect("nonblocking");
+            stream
+        })
+        .collect();
+    let mut replies = vec![Vec::new(); flood.len()];
+    let mut busy = 0;
+    // Inside the read deadline, so no slot frees up meanwhile.
+    let deadline = redbin::telemetry::Deadline::after(READ_DEADLINE - Duration::from_secs(1));
+    while busy < extra {
+        assert!(!deadline.expired(), "only {busy} connections answered busy");
+        for (mut stream, reply) in flood.iter().zip(&mut replies) {
+            if reply.ends_with(b"\n") {
+                continue;
+            }
+            let mut chunk = [0u8; 256];
+            match stream.read(&mut chunk) {
+                Ok(n) => reply.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) => panic!("read: {e}"),
+            }
+            if reply.ends_with(b"\n") {
+                let line = String::from_utf8(reply.clone()).expect("utf-8");
+                match Response::from_line(&line).expect("an envelope") {
+                    Response::Error { message } => {
+                        assert!(message.contains("server busy"), "{message}")
+                    }
+                    other => panic!("expected a busy error, got {other:?}"),
+                }
+                busy += 1;
+            }
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // A client request meanwhile waits in the hand-off queue or is refused
+    // busy and retried, depending on how many slots the flood took; either
+    // way it is answered once closing the flood frees the pool.
+    let started = std::sync::Arc::new(std::sync::Barrier::new(2));
+    let stats = std::thread::spawn({
+        let client = client.clone();
+        let started = std::sync::Arc::clone(&started);
+        move || {
+            started.wait();
+            let t0 = Clock::now();
+            client.stats().map(|_| t0.elapsed())
+        }
+    });
+    started.wait();
+    std::thread::sleep(Duration::from_millis(300));
+    drop(flood);
+    let waited = stats
+        .join()
+        .expect("stats thread")
+        .expect("busy is retried");
+    assert!(waited >= Duration::from_millis(250), "answered during the flood after {waited:?}");
+    shut_down(&client, handle);
+}
+
+#[test]
+fn client_resends_a_request_refused_busy() {
+    // Three busy refusals, then a real answer, then an error that is not
+    // busy and must come back as it is.
+    let busy = Response::Error {
+        message: format!("{BUSY}: scripted"),
+    };
+    let (client, script) = scripted_server(vec![
+        busy.clone(),
+        busy.clone(),
+        busy,
+        Response::Stats {
+            body: Json::object(),
+        },
+        Response::Error {
+            message: "unknown job `x`".into(),
+        },
+    ]);
+    client.stats().expect("answered after three busy refusals");
+    match client.poll("x") {
+        Ok(Response::Error { message }) => assert!(message.contains("unknown job"), "{message}"),
+        other => panic!("expected the error unchanged, got {other:?}"),
+    }
+    let requests = script.join().expect("script");
+    assert!(
+        requests[..4].iter().all(|(r, _)| r.contains(r#""type":"stats""#)),
+        "{requests:?}"
+    );
+    assert!(requests[4].0.contains(r#""type":"poll""#));
+}
+
+#[test]
+fn run_to_completion_waits_the_interval_after_an_early_answer() {
+    // A server that answers a waiting poll at once without the job having
+    // ended (as one past its held-poll cap does) must not be re-polled in
+    // a tight loop.
+    let job = "0123456789abcdef".to_string();
+    let status = |state| Response::Status {
+        job: job.clone(),
+        state,
+        error: None,
+    };
+    let (client, script) = scripted_server(vec![
+        Response::Accepted {
+            job: job.clone(),
+            cache_hit: false,
+            state: JobState::Queued,
+        },
+        status(JobState::Running),
+        status(JobState::Done),
+        Response::Result {
+            job: job.clone(),
+            body: Json::object(),
+        },
+    ]);
+    client
+        .run_to_completion(JobSpec::sleep(1), None, Duration::from_secs(30))
+        .expect("completes");
+    let requests = script.join().expect("script");
+    assert!(requests[1].0.contains(r#""wait-ms""#), "{requests:?}");
+    let gap = requests[2].1 - requests[1].1;
+    assert!(gap >= client.poll_interval, "re-polled after {gap:?}");
+}
+
+#[test]
+fn oversized_request_line_gets_an_error() {
+    let (client, handle) = start_server(ServeConfig::default());
+    // One byte over the cap is refused before it is parsed…
+    let reply = raw_exchange(client.addr(), &format!("{}\n", "x".repeat(MAX_REQUEST_BYTES + 1)));
+    match Response::from_line(&reply).expect("an envelope") {
+        Response::Error { message } => assert!(message.contains("request too large"), "{message}"),
+        other => panic!("expected a too-large error, got {other:?}"),
+    }
+    // …while a line at the cap is read whole and fails only as JSON.
+    let reply = raw_exchange(client.addr(), &format!("{}\n", "x".repeat(MAX_REQUEST_BYTES)));
+    match Response::from_line(&reply).expect("an envelope") {
+        Response::Error { message } => assert!(message.contains("json parse error"), "{message}"),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    client.stats().expect("still serving");
+    shut_down(&client, handle);
+}
+
 // ---- helpers ---------------------------------------------------------------
+
+/// A listener that answers one connection per scripted response, in
+/// order; the thread returns each request line with the time it arrived,
+/// measured from the script's start.
+fn scripted_server(
+    answers: Vec<Response>,
+) -> (Client, std::thread::JoinHandle<Vec<(String, Duration)>>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let client = Client::new(listener.local_addr().expect("addr").to_string());
+    let script = std::thread::spawn(move || {
+        let start = Clock::now();
+        answers
+            .into_iter()
+            .map(|answer| {
+                let (mut stream, _) = listener.accept().expect("accept");
+                let arrived = start.elapsed();
+                let mut line = String::new();
+                BufReader::new(&stream).read_line(&mut line).expect("request");
+                writeln!(stream, "{}", answer.to_line()).expect("answer");
+                (line, arrived)
+            })
+            .collect()
+    });
+    (client, script)
+}
+
+/// Joins the server thread, failing the test instead of hanging it if the
+/// server does not exit within `limit`.
+fn join_within(
+    handle: std::thread::JoinHandle<std::io::Result<()>>,
+    limit: Duration,
+) -> std::io::Result<()> {
+    let deadline = redbin::telemetry::Deadline::after(limit);
+    while !handle.is_finished() {
+        assert!(!deadline.expired(), "server did not exit within {limit:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    handle.join().expect("server thread")
+}
 
 /// Polls `stats` until `pred` holds (10 s cap — generous for CI).
 fn wait_until(client: &Client, pred: impl Fn(&Json) -> bool) {
@@ -451,8 +803,7 @@ fn poll_until_terminal(client: &Client, job: &str, timeout: Duration) -> JobStat
 /// Sends raw bytes and returns the first response line — for testing the
 /// server's handling of requests the typed client cannot produce.
 fn raw_exchange(addr: &str, payload: &str) -> String {
-    use std::io::{BufRead, BufReader, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(payload.as_bytes()).expect("write");
     stream.flush().expect("flush");
     let mut line = String::new();

@@ -67,6 +67,14 @@ impl Deadline {
     pub fn expired(&self) -> bool {
         self.at.is_some_and(|at| Instant::now() > at)
     }
+
+    /// Time left until the deadline: zero once it has passed, `None` for
+    /// a deadline that never expires.
+    #[must_use]
+    pub fn remaining(&self) -> Option<Duration> {
+        self.at
+            .map(|at| at.saturating_duration_since(Instant::now()))
+    }
 }
 
 /// Measures consecutive phases: each [`lap`](Stopwatch::lap) returns the
@@ -121,6 +129,18 @@ mod tests {
     #[test]
     fn far_deadline_is_not_expired() {
         assert!(!Deadline::after(Duration::from_secs(3600)).expired());
+    }
+
+    #[test]
+    fn remaining_counts_down_to_zero() {
+        let d = Deadline::after(Duration::from_secs(3600));
+        let left = d.remaining().expect("finite deadline");
+        assert!(left <= Duration::from_secs(3600) && left > Duration::from_secs(3500));
+        assert_eq!(
+            Deadline::after(Duration::ZERO).remaining(),
+            Some(Duration::ZERO)
+        );
+        assert_eq!(Deadline::never().remaining(), None);
     }
 
     #[test]
