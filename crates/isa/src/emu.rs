@@ -138,6 +138,13 @@ impl Emulator {
         self.pc
     }
 
+    /// The instruction at the current program counter — the one the next
+    /// [`step`](Self::step) executes — or `None` if the pc is outside the
+    /// code.
+    pub fn current_inst(&self) -> Option<Inst> {
+        self.code.get(self.pc).copied()
+    }
+
     /// Reads an architectural register (`r31` reads zero).
     pub fn reg(&self, r: Reg) -> u64 {
         if r.is_zero_reg() {
@@ -434,6 +441,19 @@ mod tests {
         assert_eq!(e.reg(Reg(2)), 42);
         assert_eq!(e.reg(Reg(3)), 168);
         assert_eq!(e.reg(Reg(5)), 168 ^ 42);
+    }
+
+    #[test]
+    fn current_inst_is_the_next_to_step() {
+        let add = Inst::op(Opcode::Addq, Reg::R31, Operand::Imm(1), Reg(1));
+        let mut e = Emulator::new(&Program::new(vec![add, Inst::halt()]));
+        assert_eq!(e.current_inst(), Some(add));
+        let retired = e.step().expect("steps");
+        assert_eq!(retired.inst, add);
+        assert_eq!(e.current_inst(), Some(Inst::halt()));
+        let mut off_the_end = Emulator::new(&Program::new(vec![add]));
+        off_the_end.step().expect("steps");
+        assert_eq!(off_the_end.current_inst(), None, "pc past the code");
     }
 
     #[test]

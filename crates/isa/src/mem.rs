@@ -151,10 +151,16 @@ impl Memory {
         }
     }
 
-    /// Copies a byte slice into memory starting at `addr`.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
+    /// Copies a byte slice into memory starting at `addr`, one in-page
+    /// chunk (one map probe) at a time. Like [`write_u8`](Self::write_u8),
+    /// a write running past `u64::MAX` wraps around to address 0.
+    pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let off = (addr as usize) & (PAGE_SIZE - 1);
+            let (chunk, rest) = bytes.split_at(bytes.len().min(PAGE_SIZE - off));
+            self.page_mut(addr)[off..off + chunk.len()].copy_from_slice(chunk);
+            addr = addr.wrapping_add(chunk.len() as u64);
+            bytes = rest;
         }
     }
 
@@ -233,6 +239,63 @@ mod tests {
         let mut m = Memory::new();
         m.write_bytes(0x2000, b"hello");
         assert_eq!(m.read_u8(0x2004), b'o');
+    }
+
+    /// The byte-at-a-time reference `write_bytes` must agree with.
+    fn write_bytes_reference(m: &mut Memory, addr: u64, bytes: &[u8]) {
+        for (i, b) in bytes.iter().enumerate() {
+            m.write_u8(addr.wrapping_add(i as u64), *b);
+        }
+    }
+
+    #[test]
+    fn write_bytes_matches_the_byte_at_a_time_reference() {
+        let page = PAGE_SIZE as u64;
+        redbin_testkit::cases(200, 0x9A6E_C0B1, |rng| {
+            // Starts near page boundaries, mid-page, and near the top of
+            // the address space (so some writes wrap past u64::MAX).
+            let start = match rng.range_u64(0, 3) {
+                0 => rng.range_u64(1, 4) * page - rng.range_u64(0, 16),
+                1 => rng.range_u64(0, 1 << 20),
+                _ => u64::MAX - rng.range_u64(0, 3 * page),
+            };
+            let len = match rng.range_u64(0, 2) {
+                0 => rng.range_usize(0, 16),
+                _ => rng.range_usize(0, 3 * PAGE_SIZE),
+            };
+            let bytes = rng.vec(len, |r| r.next_u32() as u8);
+            let (mut fast, mut slow) = (Memory::new(), Memory::new());
+            // Pre-existing contents must survive around the written range.
+            for m in [&mut fast, &mut slow] {
+                m.write_u64(start.wrapping_sub(4), 0x0102_0304_0506_0708);
+                m.write_u64(start.wrapping_add(len as u64), 0x1112_1314_1516_1718);
+            }
+            fast.write_bytes(start, &bytes);
+            write_bytes_reference(&mut slow, start, &bytes);
+            assert_eq!(fast.digest(), slow.digest(), "start {start:#x} len {len}");
+            assert_eq!(fast.resident_pages(), slow.resident_pages());
+            for (i, b) in bytes.iter().enumerate() {
+                assert_eq!(fast.read_u8(start.wrapping_add(i as u64)), *b);
+            }
+        });
+    }
+
+    #[test]
+    fn write_bytes_edge_cases() {
+        let mut m = Memory::new();
+        m.write_bytes(0x3000, &[]);
+        assert_eq!(m.resident_pages(), 0, "an empty write touches nothing");
+        // Straddles a page boundary.
+        m.write_bytes(0x3ffe, &[1, 2, 3, 4]);
+        assert_eq!(m.read_u32(0x3ffe), 0x0403_0201);
+        assert_eq!(m.resident_pages(), 2);
+        // Wraps past the top of the address space into page 0.
+        let mut w = Memory::new();
+        w.write_bytes(u64::MAX - 1, &[0xaa, 0xbb, 0xcc, 0xdd]);
+        assert_eq!(w.read_u8(u64::MAX - 1), 0xaa);
+        assert_eq!(w.read_u8(u64::MAX), 0xbb);
+        assert_eq!(w.read_u8(0), 0xcc);
+        assert_eq!(w.read_u8(1), 0xdd);
     }
 
     #[test]

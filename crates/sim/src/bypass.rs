@@ -79,6 +79,13 @@ impl BypassModel {
         }
     }
 
+    /// The last execution-start cycle at which the result is still in
+    /// flight for a consumer in `consumer_cluster` — not produced, or not
+    /// yet across the cluster boundary ([`UnavailableReason::InFlight`]).
+    pub fn in_flight_until(&self, r: &ResultTiming, consumer_cluster: usize) -> u64 {
+        r.ready + self.xdelay(r, consumer_cluster)
+    }
+
     /// The cycle from which the value is continuously available (the
     /// register file, including the write-to-read bypass within it that the
     /// paper's figures assume).
@@ -234,10 +241,10 @@ impl BypassModel {
         if self.available(r, need_tc, consumer_cluster, e) {
             return None;
         }
-        let x = self.xdelay(r, consumer_cluster);
-        if e <= r.ready + x {
+        if e <= self.in_flight_until(r, consumer_cluster) {
             return Some(UnavailableReason::InFlight);
         }
+        let x = self.xdelay(r, consumer_cluster);
         if r.rb && need_tc && e <= r.tc_ready + x {
             return Some(UnavailableReason::ConversionWait);
         }
@@ -422,6 +429,15 @@ mod tests {
         assert!(!m.available(&r, false, 1, 11), "remote consumer waits");
         assert!(m.available(&r, false, 1, 12));
         assert_eq!(m.earliest(&r, false, 1, 0), 12);
+        // The in-flight window ends one cycle later for the remote cluster.
+        for (cluster, until) in [(0, 10), (1, 11)] {
+            assert_eq!(m.in_flight_until(&r, cluster), until);
+            for need_tc in [false, true] {
+                let reason = |e| m.unavailable_reason(&r, need_tc, cluster, e);
+                assert_eq!(reason(until), Some(UnavailableReason::InFlight));
+                assert_ne!(reason(until + 1), Some(UnavailableReason::InFlight));
+            }
+        }
     }
 
     #[test]

@@ -178,6 +178,8 @@ pub struct Simulator {
     /// Set by `dispatch` each cycle: a decoded instruction was ready to
     /// enter the window but the ROB or its reservation stations were full.
     window_blocked: bool,
+    /// Quiet cycles charged in bulk by `fast_forward` instead of stepped.
+    fast_forwarded: u64,
     /// Run the retained scan-everything reference scheduler instead of the
     /// event-driven one; the differential suite locksteps the two.
     #[cfg(any(test, feature = "reference-sched"))]
@@ -216,6 +218,7 @@ impl Simulator {
             last_writer: [None; 32],
             steer_counter: 0,
             window_blocked: false,
+            fast_forwarded: 0,
             #[cfg(any(test, feature = "reference-sched"))]
             reference_sched: false,
         }
@@ -308,11 +311,11 @@ impl Simulator {
                 return Err(SimError::CycleLimit(self.cfg.max_cycles));
             }
             obs.on_cycle(self.cycle);
-            self.retire(obs);
-            self.dispatch(obs);
-            self.issue(obs);
+            let mut work = self.retire(obs);
+            work += self.dispatch(obs);
+            work += self.issue(obs);
             obs.on_stage(Stage::Execute, self.ring.len());
-            self.fetch(obs)?;
+            work += self.fetch(obs)?;
             if self.oracle_done
                 && self.peeked.is_none()
                 && self.fetch_q.is_empty()
@@ -320,7 +323,143 @@ impl Simulator {
             {
                 return Ok(());
             }
+            if work == 0 && !self.is_reference() {
+                self.fast_forward(obs);
+            }
         }
+    }
+
+    // ---- quiet-cycle fast-forward -------------------------------------------
+
+    /// Called after a quiet cycle — nothing retired, dispatched, issued or
+    /// was fetched. Every following cycle before `quiet_horizon` would
+    /// repeat that non-work exactly: the same empty stages, the same stall
+    /// cause per scheduler, no state change. So those cycles are charged
+    /// in bulk, exactly as the per-cycle loop charges them, and the clock
+    /// jumps to just before the horizon. The observer still sees every
+    /// skipped cycle's hooks (a loop that [`NoopObserver`] compiles away).
+    /// The reference scheduler never gets here: it is the cycle-by-cycle
+    /// spec the skip is tested against.
+    fn fast_forward<O: SimObserver>(&mut self, obs: &mut O) {
+        let from = self.cycle + 1;
+        let horizon = self.quiet_horizon();
+        if horizon <= from || horizon == u64::MAX {
+            return;
+        }
+        let skipped = horizon - from;
+        // The horizon holds every scheduler's stall cause constant, so the
+        // first skipped cycle's cause stands for all of them.
+        let e = from + self.cfg.sched_to_exec;
+        for s in 0..self.cfg.schedulers {
+            let cause = match self.oldest_blocked(s, u64::MAX, None) {
+                Some((seq, lsq)) => self.stall_cause_of(seq, lsq, e),
+                None => self.upstream_cause(),
+            };
+            self.stats.stall.charge(cause, 2 * skipped);
+        }
+        let fetch_stalled = from < self.fetch_resume || self.redirect_branch.is_some();
+        self.stats.dispatch_hist[0] += skipped;
+        self.stats.issue_hist[0] += skipped;
+        if !fetch_stalled {
+            self.stats.fetch_hist[0] += skipped;
+        }
+        if !self.ring.is_empty() {
+            self.stats.idle_issue_cycles += skipped;
+        }
+        let in_flight = self.ring.len();
+        for cycle in from..horizon {
+            obs.on_cycle(cycle);
+            obs.on_stage(Stage::Retire, 0);
+            obs.on_stage(Stage::Rename, 0);
+            obs.on_stage(Stage::Issue, 0);
+            obs.on_stage(Stage::Execute, in_flight);
+            if !fetch_stalled {
+                obs.on_stage(Stage::Fetch, 0);
+            }
+        }
+        self.fast_forwarded += skipped;
+        self.cycle = horizon - 1;
+    }
+
+    /// The event horizon after a quiet cycle: the first later cycle at
+    /// which something may retire, dispatch, issue or fetch, or at which
+    /// some scheduler's stall cause may change. Returns `self.cycle + 1`
+    /// (nothing to skip) when the very next cycle may already differ, and
+    /// `u64::MAX` when nothing is pending at all.
+    fn quiet_horizon(&mut self) -> u64 {
+        let next = self.cycle + 1;
+        let s2e = self.cfg.sched_to_exec;
+        let e = next + s2e;
+        let mut h = match self.cfg.max_cycles {
+            0 => u64::MAX,
+            limit => limit.saturating_add(1),
+        };
+        // Retire: the ROB head leaves once it completes. A head still
+        // waiting to issue needs an issue first.
+        if let Some(head) = self.ring.front() {
+            if head.state == State::Issued {
+                h = h.min(if head.d.inst.op.is_store() {
+                    self.sq
+                        .completion(head.d.seq)
+                        .map_or(u64::MAX, |t| t.saturating_add(1))
+                } else {
+                    head.complete_at
+                });
+            }
+        }
+        // Dispatch: the fetch-queue front clears the front-end latency. A
+        // front already through it dispatched nothing this cycle, so it is
+        // window-blocked until a retire or an issue frees room.
+        if let Some(front) = self.fetch_q.front() {
+            if front.ready > self.cycle {
+                h = h.min(front.ready);
+            }
+        }
+        // Fetch: a stall that ends (which also changes the fetch charge),
+        // or fetch that could go right away. A pending redirect waits for
+        // its branch to issue.
+        if self.redirect_branch.is_none() {
+            let can_fetch = self.fetch_q.len() < self.cfg.fetch_queue
+                && (self.peeked.is_some() || !self.oracle_done);
+            if self.fetch_resume > self.cycle || can_fetch {
+                h = h.min(self.fetch_resume.max(next));
+            }
+        }
+        if h <= next {
+            return next;
+        }
+        // Issue: a candidate is evaluated once execution could start at its
+        // wakeup floor; entries still sleeping need a producer to issue.
+        for list in &self.candidates {
+            for &seq in list {
+                if let Some(c) = self.entry(seq).filter(|c| c.state == State::Waiting) {
+                    if c.min_ready <= e {
+                        return next;
+                    }
+                    h = h.min(c.min_ready - s2e);
+                }
+            }
+        }
+        // Stall attribution: the oldest waiting entry's issued producers
+        // must each stay in flight (cause constant) or be continuously
+        // available (ignored by the attribution) over the whole stretch.
+        for s in 0..self.cfg.schedulers {
+            let Some((w, _)) = self.oldest_blocked(s, u64::MAX, None) else { continue };
+            let Some(entry) = self.entry(w) else { continue };
+            for src in entry.srcs.as_slice() {
+                let Some(r) = src.producer.and_then(|p| self.entry(p)).and_then(|p| p.timing)
+                else {
+                    continue;
+                };
+                let in_flight_until = self.bypass.in_flight_until(&r, entry.cluster);
+                if e <= in_flight_until {
+                    h = h.min(in_flight_until + 1 - s2e);
+                } else if e < self.bypass.rf_start(&r, src.need_tc, entry.cluster) {
+                    return next;
+                }
+            }
+        }
+        h
     }
 
     fn finish_stats(&mut self) -> SimStats {
@@ -351,9 +490,9 @@ impl Simulator {
         Ok(self.peeked)
     }
 
-    fn fetch<O: SimObserver>(&mut self, obs: &mut O) -> Result<(), SimError> {
+    fn fetch<O: SimObserver>(&mut self, obs: &mut O) -> Result<usize, SimError> {
         if self.cycle < self.fetch_resume || self.redirect_branch.is_some() {
-            return Ok(());
+            return Ok(0);
         }
         let mut fetched = 0usize;
         let mut blocks = 0usize;
@@ -415,12 +554,12 @@ impl Simulator {
         }
         self.stats.fetch_hist[fetched.min(8)] += 1;
         obs.on_stage(Stage::Fetch, fetched);
-        Ok(())
+        Ok(fetched)
     }
 
     // ---- dispatch ----------------------------------------------------------
 
-    fn dispatch<O: SimObserver>(&mut self, obs: &mut O) {
+    fn dispatch<O: SimObserver>(&mut self, obs: &mut O) -> usize {
         let mut dispatched = 0usize;
         self.window_blocked = false;
         while dispatched < self.cfg.front_width {
@@ -552,6 +691,7 @@ impl Simulator {
         }
         self.stats.dispatch_hist[dispatched.min(8)] += 1;
         obs.on_stage(Stage::Rename, dispatched);
+        dispatched
     }
 
     /// Dependence-aware steering: on a clustered machine, place each
@@ -655,15 +795,16 @@ impl Simulator {
         }
     }
 
-    fn issue<O: SimObserver>(&mut self, obs: &mut O) {
+    /// Wakeup/select for one cycle; returns the number of instructions
+    /// issued.
+    fn issue<O: SimObserver>(&mut self, obs: &mut O) -> usize {
         // Resolve pending store data lazily each cycle.
         self.resolve_pending_stores();
+        #[cfg(any(test, feature = "reference-sched"))]
         if self.is_reference() {
-            #[cfg(any(test, feature = "reference-sched"))]
-            self.issue_reference(obs);
-            return;
+            return self.issue_reference(obs);
         }
-        self.issue_event(obs);
+        self.issue_event(obs)
     }
 
     /// Event-driven wakeup/select. Instead of evaluating every waiting
@@ -676,18 +817,11 @@ impl Simulator {
     /// all register operands are available — so the evaluation sequence,
     /// issue picks, and stall attribution are bit-identical to
     /// `issue_reference` (pinned by the differential suite).
-    fn issue_event<O: SimObserver>(&mut self, obs: &mut O) {
+    fn issue_event<O: SimObserver>(&mut self, obs: &mut O) -> usize {
         let e = self.cycle + self.cfg.sched_to_exec;
         let mut issued_count = 0usize;
         let mut any_issued = false;
-        // Cause charged to slots a scheduler leaves unused because it has
-        // nothing waiting at all: the window is the bottleneck if dispatch
-        // was blocked this cycle, otherwise the front end is.
-        let upstream = if self.window_blocked {
-            StallCause::WindowFull
-        } else {
-            StallCause::FetchStarved
-        };
+        let upstream = self.upstream_cause();
         for s in 0..self.cfg.schedulers {
             self.compact_waiting(s);
             let mut picked = 0usize;
@@ -771,6 +905,18 @@ impl Simulator {
         }
         self.stats.issue_hist[issued_count.min(8)] += 1;
         obs.on_stage(Stage::Issue, issued_count);
+        issued_count
+    }
+
+    /// Cause charged to slots a scheduler leaves unused because it has
+    /// nothing waiting at all: the window is the bottleneck if dispatch
+    /// was blocked this cycle, otherwise the front end is.
+    fn upstream_cause(&self) -> StallCause {
+        if self.window_blocked {
+            StallCause::WindowFull
+        } else {
+            StallCause::FetchStarved
+        }
     }
 
     /// Recovers the reference scan's `blocked` value from the waiting
@@ -871,15 +1017,11 @@ impl Simulator {
     /// compiled out of production builds unless the `reference-sched`
     /// feature is enabled.
     #[cfg(any(test, feature = "reference-sched"))]
-    fn issue_reference<O: SimObserver>(&mut self, obs: &mut O) {
+    fn issue_reference<O: SimObserver>(&mut self, obs: &mut O) -> usize {
         let e = self.cycle + self.cfg.sched_to_exec;
         let mut issued_count = 0usize;
         let mut any_issued = false;
-        let upstream = if self.window_blocked {
-            StallCause::WindowFull
-        } else {
-            StallCause::FetchStarved
-        };
+        let upstream = self.upstream_cause();
         for s in 0..self.cfg.schedulers {
             let mut picked = 0usize;
             // Oldest entry that could not issue this cycle, and whether the
@@ -947,6 +1089,7 @@ impl Simulator {
         }
         self.stats.issue_hist[issued_count.min(8)] += 1;
         obs.on_stage(Stage::Issue, issued_count);
+        issued_count
     }
 
     /// Attributes an unused issue slot: why could the oldest still-waiting
@@ -1153,7 +1296,7 @@ impl Simulator {
 
     // ---- retire --------------------------------------------------------------
 
-    fn retire<O: SimObserver>(&mut self, obs: &mut O) {
+    fn retire<O: SimObserver>(&mut self, obs: &mut O) -> usize {
         let mut n = 0usize;
         while n < self.cfg.front_width {
             let Some(head) = self.ring.front() else { break };
@@ -1200,6 +1343,7 @@ impl Simulator {
             n += 1;
         }
         obs.on_stage(Stage::Retire, n);
+        n
     }
 }
 
@@ -1367,6 +1511,75 @@ mod tests {
         cfg.max_cycles = 100;
         let err = Simulator::new(cfg, &p).run().unwrap_err();
         assert_eq!(err, SimError::CycleLimit(100));
+    }
+
+    #[test]
+    fn memory_bound_kernel_fast_forwards_most_cycles_exactly() {
+        use redbin_workload::{Benchmark, Scale};
+        let p = Benchmark::Mcf.program(Scale::Test);
+        for cfg in [MachineConfig::rb_full(8), MachineConfig::ideal(4)] {
+            let label = format!("{} w{}", cfg.model, cfg.width);
+            let mut sim = Simulator::new(cfg.clone(), &p);
+            sim.run_loop(&mut NoopObserver).expect("sim completes");
+            let cycles = sim.cycle;
+            assert!(
+                2 * sim.fast_forwarded > cycles,
+                "{label}: fast-forwarded {} of {cycles} cycles",
+                sim.fast_forwarded
+            );
+            let stats = sim.finish_stats();
+            assert!(stats.stall_accounting_is_complete(), "{label}");
+            let reference = Simulator::new(cfg.clone(), &p)
+                .with_reference_scheduler()
+                .run()
+                .expect("reference completes");
+            assert_eq!(stats, reference, "{label}: diverged from the reference");
+
+            // The cycle limit is honoured exactly across skipped stretches.
+            let mut at_limit = cfg.clone();
+            at_limit.max_cycles = cycles;
+            assert_eq!(run(at_limit, &p), stats, "{label}: limit = cycles");
+            let mut below = cfg;
+            below.max_cycles = cycles - 1;
+            let err = Simulator::new(below, &p).run().unwrap_err();
+            assert_eq!(err, SimError::CycleLimit(cycles - 1), "{label}");
+        }
+    }
+
+    #[test]
+    fn a_load_at_the_top_of_the_address_space_simulates() {
+        // `ldq r1, -8(r31)` reads the last quadword below 2^64; the store
+        // queue must not overflow computing where its bytes end. The
+        // second program adds stores that it must forward from or wait on.
+        let top = Program::new(vec![Inst::mem(Opcode::Ldq, Reg(1), Reg::R31, -8), Inst::halt()]);
+        let with_stores = Program::new(vec![
+            Inst::op(Opcode::Addq, Reg::R31, Operand::Imm(0x1234), Reg(2)),
+            Inst::mem(Opcode::Stq, Reg(2), Reg::R31, -8),
+            Inst::mem(Opcode::Ldq, Reg(1), Reg::R31, -8),
+            Inst::mem(Opcode::Stl, Reg(2), Reg::R31, -4),
+            Inst::mem(Opcode::Ldq, Reg(3), Reg::R31, -8),
+            Inst::halt(),
+        ]);
+        for (p, has_stores) in [(top, false), (with_stores, true)] {
+            let mut emu = redbin_isa::Emulator::new(&p);
+            emu.run(100).expect("emulator halts");
+            for cfg in [MachineConfig::rb_full(8), MachineConfig::baseline(4)] {
+                let (stats, arch) = Simulator::new(cfg.clone(), &p)
+                    .run_with_arch()
+                    .expect("sim completes");
+                assert_eq!(arch.diff(&emu.arch_state()), None);
+                if has_stores {
+                    // A wrapped end would make both stores look disjoint.
+                    assert!(stats.store_forwards > 0, "the stq forwards to the first ldq");
+                    assert!(stats.load_blocks > 0, "the stl partially overlaps the second");
+                }
+                let reference = Simulator::new(cfg, &p)
+                    .with_reference_scheduler()
+                    .run()
+                    .expect("reference completes");
+                assert_eq!(stats, reference);
+            }
+        }
     }
 
     #[test]

@@ -92,9 +92,12 @@ impl StoreQueue {
 
     /// Decides whether a load (sequence `seq`, executing at cycle `e`,
     /// accessing `addr`/`size`) may proceed.
+    ///
+    /// Byte ranges are compared modulo 2^64, as the emulator addresses
+    /// memory: an access at the top of the address space wraps to 0
+    /// instead of overflowing `addr + size`.
     pub fn check_load(&mut self, seq: u64, addr: u64, size: u8, e: u64) -> LoadDecision {
-        let lo = addr;
-        let hi = addr + size as u64;
+        let size = u64::from(size);
         let mut decision = LoadDecision::Cache;
         for s in self.entries.iter().rev() {
             if s.seq >= seq {
@@ -109,12 +112,14 @@ impl StoreQueue {
                 self.blocks += 1;
                 return LoadDecision::Blocked;
             }
-            let (slo, shi) = (sa, sa + ss as u64);
-            if hi <= slo || lo >= shi {
+            let ss = u64::from(ss);
+            // Two ranges overlap iff either one starts inside the other.
+            if sa.wrapping_sub(addr) >= size && addr.wrapping_sub(sa) >= ss {
                 continue; // disjoint
             }
             // Youngest older overlapping store (we iterate youngest-first).
-            if slo <= lo && hi <= shi {
+            let d = addr.wrapping_sub(sa);
+            if d < ss && d + size <= ss {
                 match s.data_time {
                     Some(d) => {
                         self.forwards += 1;
@@ -219,6 +224,49 @@ mod tests {
         q.set_address(3, 0x10, 8, 15);
         q.set_data_time(3, 22);
         assert_eq!(q.completion(3), Some(22));
+    }
+
+    /// A store of `size` bytes at `addr` with address and data known at
+    /// cycle 10, older than the loads the tests check (seq 9).
+    fn queue_with_store(addr: u64, size: u8) -> StoreQueue {
+        let mut q = StoreQueue::new();
+        q.dispatch(5);
+        q.set_address(5, addr, size, 10);
+        q.set_data_time(5, 10);
+        q
+    }
+
+    #[test]
+    fn forwarding_works_at_and_across_the_top_of_the_address_space() {
+        // The last quadword below 2^64: the load ends exactly at 2^64.
+        let mut q = queue_with_store(u64::MAX - 7, 8);
+        assert_eq!(q.check_load(9, u64::MAX - 7, 8, 20), LoadDecision::Forward(21));
+        assert_eq!(q.check_load(9, u64::MAX - 3, 4, 20), LoadDecision::Forward(21));
+        assert_eq!(q.check_load(9, u64::MAX, 1, 20), LoadDecision::Forward(21));
+        // A store that wraps past 2^64 covers bytes on both sides of it.
+        let mut q = queue_with_store(u64::MAX - 3, 8);
+        assert_eq!(q.check_load(9, u64::MAX - 1, 4, 20), LoadDecision::Forward(21));
+        assert_eq!(q.check_load(9, 0, 4, 20), LoadDecision::Forward(21));
+        // Bytes just outside either end are disjoint from it.
+        assert_eq!(q.check_load(9, 4, 4, 20), LoadDecision::Cache);
+        assert_eq!(q.check_load(9, u64::MAX - 7, 4, 20), LoadDecision::Cache);
+    }
+
+    #[test]
+    fn partial_overlap_blocks_at_and_across_the_top_of_the_address_space() {
+        // A longword store at the very top; a quadword load ending at 2^64
+        // reads it plus four bytes below it.
+        let mut q = queue_with_store(u64::MAX - 3, 4);
+        assert_eq!(q.check_load(9, u64::MAX - 7, 8, 20), LoadDecision::Blocked);
+        // A load that wraps past 2^64 and a store on the far side of 0.
+        let mut q = queue_with_store(2, 4);
+        assert_eq!(q.check_load(9, u64::MAX - 3, 8, 20), LoadDecision::Blocked);
+        // A store that wraps and a load that only starts inside it.
+        let mut q = queue_with_store(u64::MAX - 1, 4);
+        assert_eq!(q.check_load(9, 1, 4, 20), LoadDecision::Blocked);
+        assert_eq!(q.check_load(9, 2, 4, 20), LoadDecision::Cache);
+        let (forwards, blocks) = q.counters();
+        assert_eq!((forwards, blocks), (0, 1));
     }
 
     #[test]

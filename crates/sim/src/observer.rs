@@ -138,7 +138,9 @@ impl RetireEvent<'_> {
 /// Per-cycle instrumentation hooks. All hooks have empty defaults; an
 /// observer implements only what it needs.
 pub trait SimObserver {
-    /// A new cycle has begun (fires before any stage runs).
+    /// A new cycle has begun (fires before any stage runs). It fires for
+    /// every cycle, including the quiet ones the simulator fast-forwards
+    /// over, which then report their (empty) stages as usual.
     fn on_cycle(&mut self, _cycle: u64) {}
 
     /// A stage finished its work for this cycle with the given occupancy

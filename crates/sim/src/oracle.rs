@@ -41,7 +41,6 @@ pub struct DynInst {
 #[derive(Debug)]
 pub struct Oracle {
     emu: Emulator,
-    code: Vec<Inst>,
     seq: u64,
     mode: DatapathMode,
     adder: RbAdder,
@@ -63,7 +62,6 @@ impl Oracle {
         }
         Oracle {
             emu,
-            code: prog.code.clone(),
             seq: 0,
             mode,
             adder: RbAdder::new(),
@@ -128,7 +126,7 @@ impl Oracle {
         let pc = self.emu.pc();
         // Capture the shadow operands before the architectural step.
         let (pre_a, pre_b, pre_old, pre_b_val) = if faithful {
-            if let Some(i) = self.peek_inst() {
+            if let Some(i) = self.emu.current_inst() {
                 (
                     self.shadow_reg(i.ra),
                     self.shadow_operand(i.rb),
@@ -172,13 +170,6 @@ impl Oracle {
         };
         self.seq += 1;
         Ok(Some(d))
-    }
-
-    fn peek_inst(&self) -> Option<Inst> {
-        // The emulator exposes pc; fetch the static instruction through the
-        // program copy it holds — reconstructed here via a tiny probe step
-        // is not possible, so Oracle keeps its own code reference.
-        self.code.get(self.emu.pc()).copied()
     }
 
     /// Runs the redundant shadow datapath for one instruction and asserts

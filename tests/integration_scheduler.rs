@@ -7,10 +7,16 @@
 //! every stall-cause charge, and every pipeline trace must match the
 //! retained reference implementation exactly — not approximately.
 //!
+//! The event-driven path also fast-forwards quiet stretches of cycles
+//! (nothing retires, dispatches, issues or fetches) to the next event in
+//! one step; the reference steps every cycle, so the same equality pins
+//! the skip and its bulk stall charges.
+//!
 //! These tests lockstep the two schedulers over every shipped machine
 //! configuration (the models and widths the golden snapshots exercise,
 //! plus bypass ablations, steering, and the redundant-RF-only datapath)
-//! and over randomized programs generated with `redbin-testkit`.
+//! and over randomized programs generated with `redbin-testkit`, both
+//! cache-resident and memory-bound.
 
 use redbin::prelude::*;
 use redbin::sim::stats::SimStats;
@@ -91,6 +97,39 @@ fn schedulers_agree_on_bypass_ablations_and_steering() {
     ));
     for (label, cfg) in cases {
         assert_schedulers_agree(&cfg, &program, &label);
+    }
+}
+
+#[test]
+fn schedulers_agree_on_a_memory_bound_kernel_under_every_ablation() {
+    // Mcf spends most of its cycles waiting on memory fills, the stretches
+    // the event-driven scheduler fast-forwards over; the reference steps
+    // every one of them. Every Figure 14 ablation (on the Ideal machine, as
+    // the figure runs it, and on the limited RB machine, whose redundant
+    // producers it turns into holes), the RB-RF-only datapath and
+    // dependence-aware steering, at both widths.
+    let program = Benchmark::Mcf.program(Scale::Test);
+    for width in [4usize, 8] {
+        let mut cases: Vec<(String, MachineConfig)> = Vec::new();
+        for levels in redbin::experiments::figure14_configs() {
+            for machine in [MachineConfig::ideal(width), MachineConfig::rb_limited(width)] {
+                cases.push((
+                    format!("mcf {} {} w{width}", machine.model, levels.label()),
+                    machine.with_bypass(levels),
+                ));
+            }
+        }
+        cases.push((
+            format!("mcf rb_full rb-rf-only w{width}"),
+            MachineConfig::rb_full(width).with_rb_rf_only(),
+        ));
+        cases.push((
+            format!("mcf rb_full dependence-steered w{width}"),
+            MachineConfig::rb_full(width).with_steering(SteeringPolicy::DependenceAware),
+        ));
+        for (label, cfg) in cases {
+            assert_schedulers_agree(&cfg, &program, &label);
+        }
     }
 }
 
@@ -180,11 +219,27 @@ fn whole_program_traces_agree_instruction_by_instruction() {
 
 // ---- randomized programs ---------------------------------------------------
 
+/// Where a random program's three memory bases start (base `k` at
+/// `(k + 1) * spacing`) and how many bytes each advances per iteration.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    spacing: i64,
+    advance: i64,
+}
+
+/// Bases 4 KiB apart that never move: after the first iteration every
+/// access hits in the caches.
+const CACHE_RESIDENT: Layout = Layout {
+    spacing: 0x1000,
+    advance: 0,
+};
+
 /// Builds a random but always-terminating program: pointer setup, then a
 /// counted loop over a random body of arithmetic, memory, conditional-move
 /// and forward-branch instructions, then halt. Register roles: r1–r15
-/// data, r16–r18 memory bases, r20 the loop counter.
-fn random_program(rng: &mut redbin_testkit::Rng) -> Program {
+/// data, r16–r18 memory bases, r20 the loop counter. `layout` only sets
+/// constants; the random draws are the same for every layout.
+fn random_program(rng: &mut redbin_testkit::Rng, layout: Layout) -> Program {
     let data = |rng: &mut redbin_testkit::Rng| Reg(1 + rng.range_u64(0, 14) as u8);
     let base = |rng: &mut redbin_testkit::Rng| Reg(16 + rng.range_u64(0, 2) as u8);
     let operand = |rng: &mut redbin_testkit::Rng| {
@@ -199,7 +254,7 @@ fn random_program(rng: &mut redbin_testkit::Rng) -> Program {
     let body_len = rng.range_usize(12, 40);
     let mut code = vec![Inst::op(Opcode::Addq, Reg::R31, Operand::Imm(iters), Reg(20))];
     for k in 0..3u8 {
-        code.push(Inst::lda(Opcode::Lda, Reg::R31, 0x1000 * (k as i64 + 1), Reg(16 + k)));
+        code.push(Inst::lda(Opcode::Lda, Reg::R31, layout.spacing * (k as i64 + 1), Reg(16 + k)));
     }
 
     let alu = [
@@ -240,12 +295,27 @@ fn random_program(rng: &mut redbin_testkit::Rng) -> Program {
         };
         body.push(inst);
     }
+    if layout.advance != 0 {
+        for k in 0..3u8 {
+            body.push(Inst::lda(Opcode::Lda, Reg(16 + k), layout.advance, Reg(16 + k)));
+        }
+    }
     let body_len = body.len() as i64;
     code.extend(body);
     code.push(Inst::op(Opcode::Subq, Reg(20), Operand::Imm(1), Reg(20)));
     code.push(Inst::branch(Opcode::Bne, Reg(20), -(body_len + 2)));
     code.push(Inst::halt());
     Program::new(code)
+}
+
+/// A random program whose loads miss to memory: bases 1 MiB apart, each
+/// advanced to a fresh 64-byte line (or further) every iteration.
+fn memory_bound_program(rng: &mut redbin_testkit::Rng) -> Program {
+    let layout = Layout {
+        spacing: 1 << 20,
+        advance: 64 * rng.range_i64(1, 5),
+    };
+    random_program(rng, layout)
 }
 
 /// A random shipped-shape machine config (model × width × a sound bypass
@@ -272,16 +342,27 @@ fn random_config(rng: &mut redbin_testkit::Rng) -> MachineConfig {
 #[test]
 fn schedulers_agree_on_random_programs() {
     redbin_testkit::cases(32, 0x5EED_5C4E_D01E, |rng| {
-        let program = random_program(rng);
+        let program = random_program(rng, CACHE_RESIDENT);
         let cfg = random_config(rng);
         assert_schedulers_agree(&cfg, &program, &format!("random cfg={cfg:?}"));
     });
 }
 
 #[test]
+fn schedulers_agree_on_memory_bound_random_programs() {
+    redbin_testkit::cases(24, 0x3E30_B0D1_7E57, |rng| {
+        let program = memory_bound_program(rng);
+        let cfg = random_config(rng);
+        let stats =
+            assert_schedulers_agree(&cfg, &program, &format!("memory-bound cfg={cfg:?}"));
+        assert!(stats.l2_misses > 0, "loads should miss to memory: {stats:?}");
+    });
+}
+
+#[test]
 fn random_program_traces_agree_too() {
     redbin_testkit::cases(8, 0x7ACE_D1FF, |rng| {
-        let program = random_program(rng);
+        let program = random_program(rng, CACHE_RESIDENT);
         let cfg = random_config(rng);
         assert_traces_agree(&cfg, &program, &format!("random-trace cfg={cfg:?}"));
     });
