@@ -1,13 +1,13 @@
-//! Shared plumbing for the `repro-*` binaries.
+//! Shared plumbing for `redbin-repro` and `workload-profile`.
 //!
-//! All binaries accept the same flags, parsed strictly — an unknown flag
+//! Both binaries accept the same flags, parsed strictly — an unknown flag
 //! or a bad value exits non-zero instead of being silently ignored:
 //!
 //! * `--scale test|small|full` (or `REDBIN_SCALE`) — workload size;
 //! * `--json PATH` — write the machine-readable result document;
-//! * `--server HOST:PORT` (or `REDBIN_SERVER`) — client mode: supported
-//!   binaries submit their experiments to a running `redbin-served`
-//!   instead of simulating locally;
+//! * `--server HOST:PORT` (or `REDBIN_SERVER`) — client mode: `redbin-repro
+//!   all` submits its experiments to a running `redbin-served` instead of
+//!   simulating locally;
 //! * `--profile` — `redbin-repro all` only: also write a `BENCH_5.json`
 //!   throughput profile (wall-clock, sims/sec, instrs/sec per figure);
 //! * `--seeds N` / `--start-seed S` — `redbin-repro fuzz` only: run the
@@ -26,7 +26,7 @@ use redbin::telemetry::{Clock, MetricsRegistry};
 
 pub mod repro;
 
-/// The flags shared by every repro binary.
+/// The flags shared by the bench binaries.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct BenchArgs {
     /// Workload scale (`None` = the paper's `full`).
@@ -53,21 +53,7 @@ impl BenchArgs {
     }
 }
 
-/// Parses a scale name.
-///
-/// # Errors
-///
-/// Names the accepted values on anything unrecognized.
-pub fn parse_scale(value: &str) -> Result<Scale, String> {
-    match value {
-        "test" => Ok(Scale::Test),
-        "small" => Ok(Scale::Small),
-        "full" => Ok(Scale::Full),
-        other => Err(format!("unknown scale `{other}` (expected test|small|full)")),
-    }
-}
-
-/// Strictly parses a repro binary's argument list (without the program
+/// Strictly parses a bench binary's argument list (without the program
 /// name). Unknown flags are errors — a typo like `--sclae` must not
 /// silently run the full-size default for hours.
 ///
@@ -92,7 +78,7 @@ pub fn parse_cli(args: &[String]) -> Result<BenchArgs, String> {
             }
         };
         match flag {
-            "--scale" => out.scale = Some(parse_scale(&value(&mut it)?)?),
+            "--scale" => out.scale = Some(Scale::from_name(&value(&mut it)?)?),
             "--json" => out.json = Some(std::path::PathBuf::from(value(&mut it)?)),
             "--server" => out.server = Some(value(&mut it)?),
             "--profile" => {
@@ -139,7 +125,7 @@ pub fn cli_args_from(argv: &[String]) -> BenchArgs {
     };
     if args.scale.is_none() {
         if let Ok(env_scale) = std::env::var("REDBIN_SCALE") {
-            match parse_scale(&env_scale) {
+            match Scale::from_name(&env_scale) {
                 Ok(s) => args.scale = Some(s),
                 Err(e) => {
                     eprintln!("error: REDBIN_SCALE: {e}");
@@ -160,11 +146,6 @@ pub fn cli_args_from(argv: &[String]) -> BenchArgs {
 /// unknown scales or unrecognized flags).
 pub fn scale_from_args() -> Scale {
     cli_args().effective_scale()
-}
-
-/// The standard experiment configuration for the repro binaries.
-pub fn experiment_config() -> ExperimentConfig {
-    experiment_config_for(&cli_args())
 }
 
 /// The experiment configuration for an already-parsed argument set.
@@ -246,7 +227,7 @@ mod tests {
         // regression test that it now fails instead.
         let e = parse_cli(&argv(&["--scale", "huge"])).unwrap_err();
         assert!(e.contains("unknown scale"), "{e}");
-        assert!(parse_scale("FULL").is_err(), "names are case-sensitive");
+        assert!(Scale::from_name("FULL").is_err(), "names are case-sensitive");
         assert!(parse_cli(&argv(&["--scale"])).is_err(), "missing value");
     }
 

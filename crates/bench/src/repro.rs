@@ -1,7 +1,4 @@
-//! The consolidated reproduction driver behind `redbin-repro`.
-//!
-//! One multicommand binary replaces the old copy-pasted `repro-*`
-//! binaries:
+//! The reproduction driver behind `redbin-repro`:
 //!
 //! ```text
 //! redbin-repro figure9|figure10|figure11|figure12|figure13|figure14
@@ -10,9 +7,6 @@
 //! redbin-repro fuzz [--seeds N] [--start-seed S] [--verify-static] [--json PATH]
 //! redbin-repro all [--scale S] [--json PATH] [--server HOST:PORT] [--profile]
 //! ```
-//!
-//! The old binary names (`repro-fig9`, `repro-all`, …) remain as thin
-//! shims that forward to [`run`], so existing scripts keep working.
 //!
 //! `all --profile` additionally writes `BENCH_5.json`: per-experiment
 //! wall-clock, simulation counts, and throughput (simulations/second and
@@ -33,6 +27,21 @@ use crate::BenchArgs;
 pub const COMMANDS: &[&str] = &[
     "delays", "table1", "table3", "figure9", "figure10", "figure11", "figure12", "figure13",
     "figure14", "ablations", "programs", "fuzz", "all",
+];
+
+/// The experiments `all` runs, in order, with their transcript headings —
+/// locally and with `--server` alike. `ablations` and `programs` stay out,
+/// so the `--profile` simulation count stays comparable across commits.
+const ALL: [(ExperimentKind, &str); 9] = [
+    (ExperimentKind::Delays, "§3.4 delays"),
+    (ExperimentKind::Table1, "Table 1"),
+    (ExperimentKind::Table3, "Table 3"),
+    (ExperimentKind::Figure9, "Figure 9"),
+    (ExperimentKind::Figure10, "Figure 10"),
+    (ExperimentKind::Figure11, "Figure 11"),
+    (ExperimentKind::Figure12, "Figure 12"),
+    (ExperimentKind::Figure13, "Figure 13"),
+    (ExperimentKind::Figure14, "Figure 14"),
 ];
 
 /// What one experiment produced, beyond its printed report.
@@ -76,8 +85,8 @@ pub fn run(command: &str, args: &BenchArgs) {
     crate::emit_json(args, command, started, outcome.instructions, outcome.body);
 }
 
-/// Parses `rest` (everything after the subcommand) and runs `command` —
-/// the entry point shared by `redbin-repro` and the legacy shims.
+/// Parses `rest` (everything after the subcommand) and runs `command`:
+/// the entry point of `redbin-repro`.
 pub fn run_from_argv(command: &str, rest: &[String]) {
     let args = crate::cli_args_from(rest);
     run(command, &args);
@@ -374,18 +383,13 @@ fn run_all(args: &BenchArgs) {
     let mut instructions = 0u64;
     let mut profile = Vec::new();
 
-    // The nine experiments of `ExperimentKind`, local edition; `ablations`
-    // stays out of `all`, matching the old `repro-all` plan.
-    let plan: &[&'static str] = &[
-        "delays", "table1", "table3", "figure9", "figure10", "figure11", "figure12", "figure13",
-        "figure14",
-    ];
-    for (i, name) in plan.iter().enumerate() {
-        println!("=== {} ===", heading(name));
+    for (i, (kind, heading)) in ALL.iter().enumerate() {
+        println!("=== {heading} ===");
+        let name = kind.name();
         let t = Clock::now();
-        // Every plan entry is a known single command by construction.
+        // Every experiment of `ALL` is a known single command.
         let Some(outcome) = run_single(name, &cfg) else {
-            unreachable!("plan names are valid commands")
+            unreachable!("`ALL` names only single commands")
         };
         instructions += outcome.instructions.unwrap_or(0);
         let mut entry = Json::object();
@@ -398,7 +402,7 @@ fn run_all(args: &BenchArgs) {
             instructions: outcome.instructions,
             simulations: outcome.simulations,
         });
-        if i + 1 < plan.len() {
+        if i + 1 < ALL.len() {
             println!();
         }
     }
@@ -432,19 +436,6 @@ fn write_profile(args: &BenchArgs, run_started: Clock, rows: &[ProfileRow]) {
     eprintln!("profile: wrote {}", path.display());
 }
 
-/// Section heading for the `all` transcript (matches the old `repro-all`).
-fn heading(name: &str) -> String {
-    match name {
-        "delays" => "§3.4 delays".to_string(),
-        "table1" => "Table 1".to_string(),
-        "table3" => "Table 3".to_string(),
-        other => {
-            let n = other.trim_start_matches("figure");
-            format!("Figure {n}")
-        }
-    }
-}
-
 /// Thin-client mode: submit the whole evaluation to `redbin-served` and
 /// collect the structured results into the same manifest shape the local
 /// run produces (plus per-experiment cache-hit flags).
@@ -454,18 +445,7 @@ fn run_all_remote(addr: &str, args: &BenchArgs) {
     let run_started = Clock::now();
     let mut manifest = Json::object();
     let mut hits = 0u64;
-    let plan = [
-        ExperimentKind::Delays,
-        ExperimentKind::Table1,
-        ExperimentKind::Table3,
-        ExperimentKind::Figure9,
-        ExperimentKind::Figure10,
-        ExperimentKind::Figure11,
-        ExperimentKind::Figure12,
-        ExperimentKind::Figure13,
-        ExperimentKind::Figure14,
-    ];
-    for kind in plan {
+    for (kind, _) in ALL {
         let t = Clock::now();
         let (job, body, cache_hit) = client
             .run_to_completion(
@@ -492,7 +472,7 @@ fn run_all_remote(addr: &str, args: &BenchArgs) {
     }
     println!(
         "all {} experiments done in {:.2}s ({hits} cache hit(s))",
-        plan.len(),
+        ALL.len(),
         run_started.seconds()
     );
     manifest.set("server", Json::Str(addr.to_string()));

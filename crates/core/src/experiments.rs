@@ -1,21 +1,27 @@
 //! Experiment drivers: one function per table/figure of the paper.
 //!
-//! Every driver runs the relevant simulations (in parallel across
-//! benchmarks) and returns a structured result; [`crate::report`] renders
-//! them as text. The `repro-*` binaries in `redbin-bench` are thin wrappers
-//! over these functions, so library users can regenerate any figure
-//! programmatically.
+//! Every simulating driver is a programs × machines matrix run by one
+//! runner, [`run_matrix`], and every paper experiment takes its machines
+//! from one table, [`machines`], which `JobSpec::machine_configs` reads
+//! too, so a server job simulates exactly the machines its id names.
+//! Drivers return structured results; [`crate::report`] renders them as
+//! text and `redbin-repro` in `redbin-bench` prints them, so library
+//! users can regenerate any figure programmatically.
 
 use redbin_isa::class::LatencyClass;
 use redbin_isa::format::Table1Counts;
-use redbin_isa::{Emulator, Opcode};
+use redbin_isa::{Emulator, Opcode, Program};
+use redbin_sim::core::SimError;
 use redbin_sim::stats::{harmonic_mean, BypassCases};
 use redbin_sim::{
     BypassLevels, CoreModel, DatapathMode, MachineConfig, SimStats, Simulator, SteeringPolicy,
 };
+use redbin_workload::programs::CHECKSUM_REG;
 use redbin_workload::{Benchmark, Scale, Suite, WholeProgram};
 
+use crate::differential::EMULATOR_STEP_BOUND;
 use crate::pool::run_jobs;
+use crate::wire::ExperimentKind;
 
 /// Global settings for an experiment run.
 #[derive(Debug, Clone, Copy)]
@@ -78,22 +84,111 @@ impl ExperimentConfig {
     }
 }
 
-/// Runs one benchmark on one machine and returns its statistics.
+/// The one experiment runner: simulates every program on every machine,
+/// one [`run_jobs`] job per (program, machine) cell. Each job builds its
+/// own program with `build` and drives its simulator with `run` (usually
+/// [`Simulator::run`]), so workers share nothing. Returns the cells
+/// program-major: `out[p][m]` is `programs[p]` on `machines[m]`.
 ///
 /// # Panics
 ///
-/// Panics if the simulation faults (all bundled benchmarks are well-formed).
-pub fn run_one(
-    model: CoreModel,
-    width: usize,
-    benchmark: Benchmark,
+/// Panics, naming the program and machine, if a simulation faults (all
+/// bundled programs are well-formed on buildable machines).
+pub fn run_matrix<P: Sync, R: Send>(
+    programs: &[P],
+    machines: &[MachineConfig],
+    threads: usize,
+    build: impl Fn(&P) -> Program + Sync,
+    run: impl Fn(Simulator) -> Result<R, SimError> + Sync,
+) -> Vec<Vec<R>> {
+    let n = machines.len();
+    let mut cells = run_jobs(programs.len() * n, threads, |i| {
+        let program = build(&programs[i / n]);
+        let machine = &machines[i % n];
+        run(Simulator::new(machine.clone(), &program))
+            .unwrap_or_else(|e| panic!("{} on {} failed: {e}", program.name, machine.model))
+    })
+    .into_iter();
+    programs
+        .iter()
+        .map(|_| cells.by_ref().take(n).collect())
+        .collect()
+}
+
+/// [`run_matrix`] over benchmarks at `cfg`'s scale and thread count,
+/// collecting plain statistics.
+fn run_benchmarks(
+    benches: &[Benchmark],
+    machines: &[MachineConfig],
     cfg: &ExperimentConfig,
-) -> SimStats {
-    let config = MachineConfig::new(model, width).with_datapath(cfg.datapath);
-    let program = benchmark.program(cfg.scale);
-    Simulator::new(config, &program)
-        .run()
-        .unwrap_or_else(|e| panic!("{benchmark:?} on {model} failed: {e}"))
+) -> Vec<Vec<SimStats>> {
+    run_matrix(
+        benches,
+        machines,
+        cfg.threads,
+        |b| b.program(cfg.scale),
+        Simulator::run,
+    )
+}
+
+/// Harmonic-mean IPC of machine `m` over every program of a
+/// [`run_matrix`] result.
+fn column_hmean(cells: &[Vec<SimStats>], m: usize) -> f64 {
+    let ipcs: Vec<f64> = cells.iter().map(|row| row[m].ipc()).collect();
+    harmonic_mean(&ipcs)
+}
+
+/// Harmonic-mean IPC of each machine over all twenty benchmarks: Figure
+/// 14 and every ablation sweep.
+fn suite_hmeans(machines: &[MachineConfig], cfg: &ExperimentConfig) -> Vec<f64> {
+    let cells = run_benchmarks(&Benchmark::all(), machines, cfg);
+    (0..machines.len())
+        .map(|m| column_hmean(&cells, m))
+        .collect()
+}
+
+/// The four core models at `width`, in [`CoreModel::all`] order.
+fn four_models(width: usize, datapath: DatapathMode) -> Vec<MachineConfig> {
+    CoreModel::all()
+        .iter()
+        .map(|&m| MachineConfig::new(m, width).with_datapath(datapath))
+        .collect()
+}
+
+/// The machine table: what each experiment simulates, in result order.
+/// The drivers below run these lists and `JobSpec::machine_configs` starts
+/// from them, so a job's id, its soundness check and its run see the same
+/// machines. A point job's machine comes from its spec; Table 1, the delay
+/// report and sleep jobs simulate nothing. Table 3 reads its machines'
+/// latencies and keeps the default datapath.
+pub fn machines(kind: ExperimentKind, datapath: DatapathMode) -> Vec<MachineConfig> {
+    match kind {
+        ExperimentKind::Figure9
+        | ExperimentKind::Figure10
+        | ExperimentKind::Programs
+        | ExperimentKind::Custom => four_models(8, datapath),
+        ExperimentKind::Figure11 | ExperimentKind::Figure12 => four_models(4, datapath),
+        ExperimentKind::Figure13 => vec![MachineConfig::rb_full(8).with_datapath(datapath)],
+        ExperimentKind::Figure14 => figure14_configs()
+            .into_iter()
+            .flat_map(|levels| {
+                [4, 8].map(|w| {
+                    MachineConfig::ideal(w)
+                        .with_bypass(levels)
+                        .with_datapath(datapath)
+                })
+            })
+            .collect(),
+        ExperimentKind::Table3 => vec![
+            MachineConfig::baseline(8),
+            MachineConfig::rb_full(8),
+            MachineConfig::ideal(8),
+        ],
+        ExperimentKind::Table1
+        | ExperimentKind::Delays
+        | ExperimentKind::Sleep
+        | ExperimentKind::Point => Vec::new(),
+    }
 }
 
 /// One design-space point's simulation outcome: a single machine over a
@@ -113,29 +208,15 @@ pub struct PointResult {
 }
 
 /// Runs one design-space point: `machine` over `benches` at `scale`,
-/// fanning the benchmarks across `threads` workers.
+/// fanning the benchmarks across `threads` workers, optionally on the
+/// retained reference scheduler — the behavioral spec the event-driven
+/// scheduler is tested against. The two produce bit-identical statistics,
+/// which `redbin-explore`'s frontier stability test pins.
 ///
 /// # Panics
 ///
 /// Panics if a simulation faults (all bundled benchmarks are well-formed
 /// on buildable machines).
-pub fn run_point(
-    machine: &MachineConfig,
-    benches: &[Benchmark],
-    scale: Scale,
-    threads: usize,
-) -> PointResult {
-    run_point_with(machine, benches, scale, threads, false)
-}
-
-/// [`run_point`], optionally on the retained reference scheduler — the
-/// behavioral spec the event-driven scheduler is tested against. The two
-/// produce bit-identical statistics, which `redbin-explore`'s frontier
-/// stability test pins.
-///
-/// # Panics
-///
-/// Same conditions as [`run_point`].
 pub fn run_point_with(
     machine: &MachineConfig,
     benches: &[Benchmark],
@@ -143,27 +224,29 @@ pub fn run_point_with(
     threads: usize,
     reference: bool,
 ) -> PointResult {
-    let stats = run_jobs(benches.len(), threads, |i| {
-        let program = benches[i].program(scale);
-        let mut sim = Simulator::new(machine.clone(), &program);
-        if reference {
-            sim = sim.with_reference_scheduler();
-        }
-        sim.run()
-            .unwrap_or_else(|e| panic!("{:?} on {} failed: {e}", benches[i], machine.model))
-    });
-    let rows: Vec<(Benchmark, f64)> = benches
-        .iter()
-        .zip(&stats)
-        .map(|(&b, s)| (b, s.ipc()))
-        .collect();
-    let ipcs: Vec<f64> = rows.iter().map(|&(_, ipc)| ipc).collect();
+    let cells = run_matrix(
+        benches,
+        std::slice::from_ref(machine),
+        threads,
+        |b| b.program(scale),
+        |sim| {
+            if reference {
+                sim.with_reference_scheduler().run()
+            } else {
+                sim.run()
+            }
+        },
+    );
     PointResult {
         machine: machine.clone(),
-        hmean: harmonic_mean(&ipcs),
-        cycles: stats.iter().map(|s| s.cycles).sum(),
-        retired: stats.iter().map(|s| s.retired).sum(),
-        rows,
+        rows: benches
+            .iter()
+            .zip(&cells)
+            .map(|(&b, row)| (b, row[0].ipc()))
+            .collect(),
+        hmean: column_hmean(&cells, 0),
+        cycles: cells.iter().map(|row| row[0].cycles).sum(),
+        retired: cells.iter().map(|row| row[0].retired).sum(),
     }
 }
 
@@ -194,12 +277,9 @@ pub struct IpcFigure {
 impl IpcFigure {
     /// Harmonic-mean IPC per machine model.
     pub fn harmonic_means(&self) -> [f64; 4] {
-        let mut out = [0.0; 4];
-        for (m, slot) in out.iter_mut().enumerate() {
-            let v: Vec<f64> = self.rows.iter().map(|r| r.ipc[m]).collect();
-            *slot = harmonic_mean(&v);
-        }
-        out
+        std::array::from_fn(|m| {
+            harmonic_mean(&self.rows.iter().map(|r| r.ipc[m]).collect::<Vec<_>>())
+        })
     }
 
     /// The headline ratios: (RB-full / Baseline − 1, 1 − RB-full / Ideal,
@@ -220,39 +300,71 @@ impl IpcFigure {
 /// Runs a Figure 9–12 style experiment: all four machines over a suite at
 /// one width.
 pub fn figure_ipc(width: usize, suite: Suite, cfg: &ExperimentConfig) -> IpcFigure {
+    figure_ipc_on(&four_models(width, cfg.datapath), suite, cfg)
+}
+
+/// [`figure_ipc`] on explicit machines: one per core model, in
+/// [`CoreModel::all`] order, all of one width.
+///
+/// # Panics
+///
+/// Panics if there are fewer than four machines, or as [`run_matrix`].
+pub fn figure_ipc_on(
+    machines: &[MachineConfig],
+    suite: Suite,
+    cfg: &ExperimentConfig,
+) -> IpcFigure {
     let benches = suite.benchmarks();
-    let rows = run_jobs(benches.len(), cfg.threads, |i| {
-        let b = benches[i];
-        let mut ipc = [0.0; 4];
-        let mut stats = Vec::with_capacity(4);
-        for (m, model) in CoreModel::all().iter().enumerate() {
-            let s = run_one(*model, width, b, cfg);
-            ipc[m] = s.ipc();
-            stats.push(s);
-        }
-        IpcRow { benchmark: b, ipc, stats }
-    });
-    IpcFigure { width, suite, rows }
+    let rows = benches
+        .iter()
+        .zip(run_benchmarks(benches, machines, cfg))
+        .map(|(&benchmark, stats)| IpcRow {
+            benchmark,
+            ipc: std::array::from_fn(|m| stats[m].ipc()),
+            stats,
+        })
+        .collect();
+    IpcFigure {
+        width: machines[0].width,
+        suite,
+        rows,
+    }
 }
 
 /// Figure 9: 8-wide machines on SPECint2000.
 pub fn figure9(cfg: &ExperimentConfig) -> IpcFigure {
-    figure_ipc(8, Suite::Spec2000, cfg)
+    figure_ipc_on(
+        &machines(ExperimentKind::Figure9, cfg.datapath),
+        Suite::Spec2000,
+        cfg,
+    )
 }
 
 /// Figure 10: 8-wide machines on SPECint95.
 pub fn figure10(cfg: &ExperimentConfig) -> IpcFigure {
-    figure_ipc(8, Suite::Spec95, cfg)
+    figure_ipc_on(
+        &machines(ExperimentKind::Figure10, cfg.datapath),
+        Suite::Spec95,
+        cfg,
+    )
 }
 
 /// Figure 11: 4-wide machines on SPECint2000.
 pub fn figure11(cfg: &ExperimentConfig) -> IpcFigure {
-    figure_ipc(4, Suite::Spec2000, cfg)
+    figure_ipc_on(
+        &machines(ExperimentKind::Figure11, cfg.datapath),
+        Suite::Spec2000,
+        cfg,
+    )
 }
 
 /// Figure 12: 4-wide machines on SPECint95.
 pub fn figure12(cfg: &ExperimentConfig) -> IpcFigure {
-    figure_ipc(4, Suite::Spec95, cfg)
+    figure_ipc_on(
+        &machines(ExperimentKind::Figure12, cfg.datapath),
+        Suite::Spec95,
+        cfg,
+    )
 }
 
 /// One whole program's results across the four machine models, in
@@ -285,12 +397,9 @@ pub struct ProgramsReport {
 impl ProgramsReport {
     /// Harmonic-mean IPC per machine model.
     pub fn harmonic_means(&self) -> [f64; 4] {
-        let mut out = [0.0; 4];
-        for (m, slot) in out.iter_mut().enumerate() {
-            let v: Vec<f64> = self.rows.iter().map(|r| r.ipc[m]).collect();
-            *slot = harmonic_mean(&v);
-        }
-        out
+        std::array::from_fn(|m| {
+            harmonic_mean(&self.rows.iter().map(|r| r.ipc[m]).collect::<Vec<_>>())
+        })
     }
 }
 
@@ -306,46 +415,71 @@ impl ProgramsReport {
 /// Panics if any program misbehaves: wrong checksum, architectural
 /// divergence between emulator and simulator, or a simulation fault.
 pub fn programs(cfg: &ExperimentConfig) -> ProgramsReport {
+    programs_on(&machines(ExperimentKind::Programs, cfg.datapath), cfg)
+}
+
+/// [`programs`] on explicit machines: one per core model, in
+/// [`CoreModel::all`] order, all of one width.
+///
+/// # Panics
+///
+/// As [`programs`], and if there are fewer than four machines.
+pub fn programs_on(machines: &[MachineConfig], cfg: &ExperimentConfig) -> ProgramsReport {
     let progs = WholeProgram::all();
-    let width = 8;
     let scale = cfg.scale;
-    let datapath = cfg.datapath;
-    let rows = run_jobs(progs.len(), cfg.threads, |i| {
+    let expected = run_jobs(progs.len(), cfg.threads, |i| {
         let wp = progs[i];
-        let program = wp.program(scale);
-        let mut emu = Emulator::new(&program);
-        emu.run(crate::differential::EMULATOR_STEP_BOUND)
+        let mut emu = Emulator::new(&wp.program(scale));
+        emu.run(EMULATOR_STEP_BOUND)
             .unwrap_or_else(|e| panic!("{} did not halt: {e}", wp.name()));
-        let expect = emu.arch_state();
-        let checksum = expect.regs[redbin_workload::programs::CHECKSUM_REG as usize];
+        let state = emu.arch_state();
         assert_eq!(
-            checksum,
+            state.regs[CHECKSUM_REG as usize],
             wp.expected_checksum(scale),
             "{}: checksum diverged from the Rust reference",
             wp.name()
         );
-        let mut ipc = [0.0; 4];
-        let mut stats = Vec::with_capacity(4);
-        for (m, model) in CoreModel::all().iter().enumerate() {
-            let config = MachineConfig::new(*model, width).with_datapath(datapath);
-            let (s, arch) = Simulator::new(config, &program)
-                .run_with_arch()
-                .unwrap_or_else(|e| panic!("{} on {model} failed: {e}", wp.name()));
-            if let Some(d) = expect.diff(&arch) {
-                panic!("{} on {model}: architectural divergence: {d}", wp.name());
-            }
-            ipc[m] = s.ipc();
-            stats.push(s);
-        }
-        ProgramRow {
-            program: wp,
-            checksum,
-            emulated: expect.retired,
-            ipc,
-            stats,
-        }
+        state
     });
-    ProgramsReport { width, rows }
+    let cells = run_matrix(
+        progs,
+        machines,
+        cfg.threads,
+        |wp| wp.program(scale),
+        Simulator::run_with_arch,
+    );
+    let rows = progs
+        .iter()
+        .zip(expected)
+        .zip(cells)
+        .map(|((&wp, expect), cells)| {
+            let stats: Vec<SimStats> = cells
+                .into_iter()
+                .zip(machines)
+                .map(|((s, arch), machine)| {
+                    if let Some(d) = expect.diff(&arch) {
+                        panic!(
+                            "{} on {}: architectural divergence: {d}",
+                            wp.name(),
+                            machine.model
+                        );
+                    }
+                    s
+                })
+                .collect();
+            ProgramRow {
+                program: wp,
+                checksum: expect.regs[CHECKSUM_REG as usize],
+                emulated: expect.retired,
+                ipc: std::array::from_fn(|m| stats[m].ipc()),
+                stats,
+            }
+        })
+        .collect();
+    ProgramsReport {
+        width: machines[0].width,
+        rows,
+    }
 }
 
 /// The data behind Figure 13: bypass-case distribution on the 8-wide
@@ -358,12 +492,21 @@ pub struct Figure13 {
 
 /// Runs Figure 13: which bypass cases are potentially critical.
 pub fn figure13(cfg: &ExperimentConfig) -> Figure13 {
+    figure13_on(&machines(ExperimentKind::Figure13, cfg.datapath), cfg)
+}
+
+/// [`figure13`] on explicit machines: one row per benchmark and machine.
+pub fn figure13_on(machines: &[MachineConfig], cfg: &ExperimentConfig) -> Figure13 {
     let benches = Suite::Spec2000.benchmarks();
-    let rows = run_jobs(benches.len(), cfg.threads, |i| {
-        let b = benches[i];
-        let stats = run_one(CoreModel::RbFull, 8, b, cfg);
-        (b, stats.bypass_cases, stats.bypassed_inst_fraction())
-    });
+    let cells = run_benchmarks(benches, machines, cfg);
+    let rows = benches
+        .iter()
+        .zip(&cells)
+        .flat_map(|(&b, row)| {
+            row.iter()
+                .map(move |s| (b, s.bypass_cases, s.bypassed_inst_fraction()))
+        })
+        .collect();
     Figure13 { rows }
 }
 
@@ -403,41 +546,21 @@ pub fn figure14_configs() -> Vec<BypassLevels> {
 /// Runs Figure 14: the Ideal machine under limited bypass networks,
 /// harmonic mean over all twenty benchmarks at both widths.
 pub fn figure14(cfg: &ExperimentConfig) -> Figure14 {
-    let configs = figure14_configs();
-    let benches = Benchmark::all();
-    // Jobs: config × width × benchmark.
-    let widths = [4usize, 8];
-    let n = configs.len() * widths.len() * benches.len();
-    let ipcs = run_jobs(n, cfg.threads, |j| {
-        let c = j / (widths.len() * benches.len());
-        let rest = j % (widths.len() * benches.len());
-        let w = rest / benches.len();
-        let b = rest % benches.len();
-        let config = MachineConfig::ideal(widths[w])
-            .with_bypass(configs[c])
-            .with_datapath(cfg.datapath);
-        let program = benches[b].program(cfg.scale);
-        Simulator::new(config, &program)
-            .run()
-            .unwrap_or_else(|e| panic!("figure14 job failed: {e}"))
-            .ipc()
-    });
-    let rows = configs
-        .iter()
-        .enumerate()
-        .map(|(c, levels)| {
-            let mut per_width = [0.0f64; 2];
-            for (w, slot) in per_width.iter_mut().enumerate() {
-                let base = c * widths.len() * benches.len() + w * benches.len();
-                let v: Vec<f64> = (0..benches.len()).map(|b| ipcs[base + b]).collect();
-                *slot = harmonic_mean(&v);
-            }
-            Figure14Row {
-                label: levels.label(),
-                levels: *levels,
-                hmean_w4: per_width[0],
-                hmean_w8: per_width[1],
-            }
+    figure14_on(&machines(ExperimentKind::Figure14, cfg.datapath), cfg)
+}
+
+/// [`figure14`] on explicit machines: consecutive pairs at widths 4 and
+/// 8, each pair one row labelled with its bypass network.
+pub fn figure14_on(machines: &[MachineConfig], cfg: &ExperimentConfig) -> Figure14 {
+    let hmeans = suite_hmeans(machines, cfg);
+    let rows = machines
+        .chunks(2)
+        .zip(hmeans.chunks(2))
+        .map(|(pair, hm)| Figure14Row {
+            label: pair[0].bypass.label(),
+            levels: pair[0].bypass,
+            hmean_w4: hm[0],
+            hmean_w8: hm[1],
         })
         .collect();
     Figure14 { rows }
@@ -490,9 +613,8 @@ pub struct Table3Row {
 /// Reconstructs Table 3 from the machine configurations (a consistency
 /// check that the code encodes what the paper states).
 pub fn table3() -> Vec<Table3Row> {
-    let base = MachineConfig::baseline(8);
-    let rb = MachineConfig::rb_full(8);
-    let ideal = MachineConfig::ideal(8);
+    let table = machines(ExperimentKind::Table3, DatapathMode::Fast);
+    let (base, rb, ideal) = (&table[0], &table[1], &table[2]);
     let representative = |class: LatencyClass| -> Opcode {
         match class {
             LatencyClass::IntArith => Opcode::Addq,
@@ -532,47 +654,45 @@ pub fn delay_report() -> redbin_gates::report::DelayReport {
     redbin_gates::report::DelayReport::standard()
 }
 
+/// Harmonic-mean IPC over all twenty benchmarks of `base` with `set`
+/// applied for each of `values`: the shape of every ablation sweep.
+fn sweep<T: Copy>(
+    cfg: &ExperimentConfig,
+    base: MachineConfig,
+    values: &[T],
+    set: impl Fn(&mut MachineConfig, T),
+) -> Vec<(T, f64)> {
+    let base = base.with_datapath(cfg.datapath);
+    let machines: Vec<MachineConfig> = values
+        .iter()
+        .map(|&v| {
+            let mut m = base.clone();
+            set(&mut m, v);
+            m
+        })
+        .collect();
+    values
+        .iter()
+        .copied()
+        .zip(suite_hmeans(&machines, cfg))
+        .collect()
+}
+
 /// Ablation: sweep the redundant→TC conversion latency on the 8-wide
 /// RB-full machine; returns `(conversion_cycles, harmonic-mean IPC over all
 /// benchmarks)`.
 pub fn conversion_sweep(cfg: &ExperimentConfig, latencies: &[u64]) -> Vec<(u64, f64)> {
-    let benches = Benchmark::all();
-    latencies
-        .iter()
-        .map(|&conv| {
-            let ipcs = run_jobs(benches.len(), cfg.threads, |i| {
-                let mut config = MachineConfig::rb_full(8).with_datapath(cfg.datapath);
-                config.conversion_latency = conv;
-                let program = benches[i].program(cfg.scale);
-                Simulator::new(config, &program)
-                    .run()
-                    .expect("sweep run")
-                    .ipc()
-            });
-            (conv, harmonic_mean(&ipcs))
-        })
-        .collect()
+    sweep(cfg, MachineConfig::rb_full(8), latencies, |m, v| {
+        m.conversion_latency = v;
+    })
 }
 
 /// Ablation: sweep the inter-cluster forwarding delay on the 8-wide Ideal
 /// machine; returns `(delay_cycles, harmonic-mean IPC)`.
 pub fn cluster_sweep(cfg: &ExperimentConfig, delays: &[u64]) -> Vec<(u64, f64)> {
-    let benches = Benchmark::all();
-    delays
-        .iter()
-        .map(|&d| {
-            let ipcs = run_jobs(benches.len(), cfg.threads, |i| {
-                let mut config = MachineConfig::ideal(8).with_datapath(cfg.datapath);
-                config.cluster_delay = d;
-                let program = benches[i].program(cfg.scale);
-                Simulator::new(config, &program)
-                    .run()
-                    .expect("sweep run")
-                    .ipc()
-            });
-            (d, harmonic_mean(&ipcs))
-        })
-        .collect()
+    sweep(cfg, MachineConfig::ideal(8), delays, |m, v| {
+        m.cluster_delay = v
+    })
 }
 
 /// Extension (the paper's §4.2 future work): compare steering policies on
@@ -580,47 +700,30 @@ pub fn cluster_sweep(cfg: &ExperimentConfig, delays: &[u64]) -> Vec<(u64, f64)> 
 /// producers matters most. Returns `(policy name, width, harmonic-mean
 /// IPC)` rows.
 pub fn steering_comparison(cfg: &ExperimentConfig) -> Vec<(&'static str, usize, f64)> {
-    let benches = Benchmark::all();
-    let mut out = Vec::new();
+    let mut rows = Vec::new();
+    let mut machines = Vec::new();
     for (name, policy) in [
         ("round-robin pairs", SteeringPolicy::RoundRobinPairs),
         ("dependence-aware", SteeringPolicy::DependenceAware),
     ] {
         for width in [4usize, 8] {
-            let ipcs = run_jobs(benches.len(), cfg.threads, |i| {
-                let config = MachineConfig::rb_limited(width)
+            rows.push((name, width));
+            machines.push(
+                MachineConfig::rb_limited(width)
                     .with_steering(policy)
-                    .with_datapath(cfg.datapath);
-                let program = benches[i].program(cfg.scale);
-                Simulator::new(config, &program)
-                    .run()
-                    .expect("steering run")
-                    .ipc()
-            });
-            out.push((name, width, harmonic_mean(&ipcs)));
+                    .with_datapath(cfg.datapath),
+            );
         }
     }
-    out
+    rows.into_iter()
+        .zip(suite_hmeans(&machines, cfg))
+        .map(|((name, width), hm)| (name, width, hm))
+        .collect()
 }
 
 /// Ablation: sweep the instruction-window size on the 8-wide Ideal machine.
 pub fn window_sweep(cfg: &ExperimentConfig, windows: &[usize]) -> Vec<(usize, f64)> {
-    let benches = Benchmark::all();
-    windows
-        .iter()
-        .map(|&w| {
-            let ipcs = run_jobs(benches.len(), cfg.threads, |i| {
-                let mut config = MachineConfig::ideal(8).with_datapath(cfg.datapath);
-                config.window = w;
-                let program = benches[i].program(cfg.scale);
-                Simulator::new(config, &program)
-                    .run()
-                    .expect("sweep run")
-                    .ipc()
-            });
-            (w, harmonic_mean(&ipcs))
-        })
-        .collect()
+    sweep(cfg, MachineConfig::ideal(8), windows, |m, v| m.window = v)
 }
 
 #[cfg(test)]

@@ -857,7 +857,7 @@ pub fn with_meta(
     obj(vec![
         ("schema-version", Json::UInt(u64::from(SCHEMA_VERSION))),
         ("experiment", Json::Str(experiment.to_string())),
-        ("scale", Json::Str(format!("{scale:?}").to_lowercase())),
+        ("scale", Json::Str(scale.name().to_string())),
         ("wall-seconds", Json::Num(elapsed.as_secs_f64())),
         ("result", body),
     ])

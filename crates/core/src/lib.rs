@@ -16,13 +16,14 @@
 //! * [`sim`] — the cycle-level out-of-order core with dual-format result
 //!   tracking, limited bypass networks, and clustered execution.
 //! * [`experiments`] — one driver per table/figure (Table 1, Figures 9–14,
-//!   the §3.4 delay table), with parallel execution across benchmarks.
+//!   the §3.4 delay table), each simulating through one parallel
+//!   programs × machines runner.
 //! * [`differential`] — the three-way differential oracle (emulator vs.
 //!   fast simulator vs. faithful datapath vs. reference scheduler) behind
 //!   the fuzz and whole-program suites.
 //! * [`report`] — plain-text rendering of experiment results.
 //! * [`json`] — dependency-free structured JSON output for every experiment
-//!   (the `--json` flag of the `repro-*` binaries).
+//!   (the `--json` flag of `redbin-repro`).
 //! * [`pool`] — the scoped worker pool behind the parallel fan-out (shared
 //!   with the `redbin-serve` batch service).
 //! * [`wire`] — newline-delimited request/response envelopes for the

@@ -180,54 +180,6 @@ pub fn render_table3(rows: &[Table3Row]) -> String {
     out
 }
 
-/// Exports a Figure 9–12 result as CSV (`benchmark,baseline,rb_limited,
-/// rb_full,ideal`) for plotting tools.
-pub fn ipc_figure_csv(fig: &IpcFigure) -> String {
-    let mut out = String::from("benchmark,baseline,rb_limited,rb_full,ideal\n");
-    for row in &fig.rows {
-        let _ = writeln!(
-            out,
-            "{},{:.4},{:.4},{:.4},{:.4}",
-            row.benchmark.name(),
-            row.ipc[0],
-            row.ipc[1],
-            row.ipc[2],
-            row.ipc[3]
-        );
-    }
-    let hm = fig.harmonic_means();
-    let _ = writeln!(out, "hmean,{:.4},{:.4},{:.4},{:.4}", hm[0], hm[1], hm[2], hm[3]);
-    out
-}
-
-/// Exports a Figure 9–12 result as a GitHub-flavoured markdown table.
-pub fn ipc_figure_markdown(fig: &IpcFigure) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "| benchmark | Baseline | RB-limited | RB-full | Ideal |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|");
-    for row in &fig.rows {
-        let _ = writeln!(
-            out,
-            "| {} | {:.3} | {:.3} | {:.3} | {:.3} |",
-            row.benchmark.name(),
-            row.ipc[0],
-            row.ipc[1],
-            row.ipc[2],
-            row.ipc[3]
-        );
-    }
-    let hm = fig.harmonic_means();
-    let _ = writeln!(
-        out,
-        "| **h-mean** | {:.3} | {:.3} | {:.3} | {:.3} |",
-        hm[0], hm[1], hm[2], hm[3]
-    );
-    out
-}
-
 /// Renders a horizontal bar for quick visual comparison in terminals.
 pub fn bar(value: f64, max: f64, width: usize) -> String {
     let filled = if max > 0.0 {
@@ -349,18 +301,6 @@ mod tests {
         let s = render_table3(&rows);
         assert!(s.contains("integer arithmetic"));
         assert!(s.contains("1 (3)"));
-    }
-
-    #[test]
-    fn csv_and_markdown_exports() {
-        let fig = sample_fig();
-        let csv = ipc_figure_csv(&fig);
-        assert!(csv.starts_with("benchmark,baseline"));
-        assert!(csv.contains("go,1.0000,1.0500,1.0800,1.1000"));
-        assert!(csv.contains("hmean,"));
-        let md = ipc_figure_markdown(&fig);
-        assert!(md.contains("| go | 1.000 |"));
-        assert!(md.contains("**h-mean**"));
     }
 
     #[test]

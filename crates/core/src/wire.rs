@@ -14,8 +14,9 @@
 //! with equal keys are the same computation, so the server can serve the
 //! second from cache byte-identically.
 
+use redbin_isa::Program;
 use redbin_sim::hash::Fnv64;
-use redbin_sim::{BypassLevels, CoreModel, DatapathMode, MachineConfig, SteeringPolicy};
+use redbin_sim::{BypassLevels, CoreModel, DatapathMode, MachineConfig, Simulator, SteeringPolicy};
 use redbin_workload::{Benchmark, Scale, Suite};
 
 use crate::experiments::{self, ExperimentConfig};
@@ -50,15 +51,6 @@ impl std::error::Error for WireError {}
 
 fn wire_err(msg: impl Into<String>) -> WireError {
     WireError(msg.into())
-}
-
-/// The canonical lowercase name of a scale on the wire.
-pub fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Small => "small",
-        Scale::Full => "full",
-    }
 }
 
 /// Parses a bypass-level configuration from its paper label (`"Full"`,
@@ -140,22 +132,6 @@ pub fn steering_from_name(name: &str) -> Result<SteeringPolicy, WireError> {
         "dependence-aware" => Ok(SteeringPolicy::DependenceAware),
         other => Err(wire_err(format!(
             "unknown steering `{other}` (expected round-robin|dependence-aware)"
-        ))),
-    }
-}
-
-/// Parses a wire scale name.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] naming the accepted values on anything else.
-pub fn scale_from_name(name: &str) -> Result<Scale, WireError> {
-    match name {
-        "test" => Ok(Scale::Test),
-        "small" => Ok(Scale::Small),
-        "full" => Ok(Scale::Full),
-        other => Err(wire_err(format!(
-            "unknown scale `{other}` (expected test|small|full)"
         ))),
     }
 }
@@ -528,42 +504,12 @@ impl JobSpec {
         }
     }
 
-    /// Every machine configuration the experiment instantiates — the
-    /// machine half of the content address.
+    /// Every machine configuration the experiment instantiates, with the
+    /// overrides applied — the machine half of the content address, the
+    /// list the server's soundness check sees, and exactly what
+    /// [`JobSpec::run`] simulates.
     pub fn machine_configs(&self) -> Vec<MachineConfig> {
-        let four_models = |width: usize| -> Vec<MachineConfig> {
-            redbin_sim::CoreModel::all()
-                .iter()
-                .map(|&m| MachineConfig::new(m, width).with_datapath(self.datapath))
-                .collect()
-        };
         let mut out = match self.kind {
-            ExperimentKind::Figure9
-            | ExperimentKind::Figure10
-            | ExperimentKind::Programs
-            | ExperimentKind::Custom => four_models(8),
-            ExperimentKind::Figure11 | ExperimentKind::Figure12 => four_models(4),
-            ExperimentKind::Figure13 => {
-                vec![MachineConfig::rb_full(8).with_datapath(self.datapath)]
-            }
-            ExperimentKind::Figure14 => {
-                let mut out = Vec::new();
-                for levels in experiments::figure14_configs() {
-                    for width in [4usize, 8] {
-                        out.push(
-                            MachineConfig::ideal(width)
-                                .with_bypass(levels)
-                                .with_datapath(self.datapath),
-                        );
-                    }
-                }
-                out
-            }
-            ExperimentKind::Table3 => vec![
-                MachineConfig::baseline(8),
-                MachineConfig::rb_full(8),
-                MachineConfig::ideal(8),
-            ],
             // One machine, described by the point spec. The builder is the
             // non-panicking construction path; a width it rejects (only
             // possible by bypassing `PointSpec::from_json`) yields an empty
@@ -579,18 +525,13 @@ impl JobSpec {
                 })
                 .into_iter()
                 .collect(),
-            // Emulator-only / gate-level / synthetic: no timing machine.
-            ExperimentKind::Table1 | ExperimentKind::Delays | ExperimentKind::Sleep => Vec::new(),
+            kind => experiments::machines(kind, self.datapath),
         };
-        if let Some(levels) = self.bypass {
-            for m in &mut out {
+        for m in &mut out {
+            if let Some(levels) = self.bypass {
                 m.bypass = levels;
             }
-        }
-        if self.rb_rf_only {
-            for m in &mut out {
-                m.rb_rf_only = true;
-            }
+            m.rb_rf_only |= self.rb_rf_only;
         }
         out
     }
@@ -658,7 +599,7 @@ impl JobSpec {
     pub fn to_json(&self) -> Json {
         let mut o = Json::object();
         o.set("experiment", Json::Str(self.kind.name().to_string()));
-        o.set("scale", Json::Str(scale_name(self.scale).to_string()));
+        o.set("scale", Json::Str(self.scale.name().to_string()));
         o.set(
             "datapath",
             Json::Str(
@@ -699,7 +640,7 @@ impl JobSpec {
                 .ok_or_else(|| wire_err("job spec missing `experiment`"))?,
         )?;
         let scale = match v.get("scale").and_then(Json::as_str) {
-            Some(s) => scale_from_name(s)?,
+            Some(s) => Scale::from_name(s).map_err(WireError)?,
             None => Scale::Test,
         };
         let datapath = match v.get("datapath").and_then(Json::as_str) {
@@ -756,8 +697,10 @@ impl JobSpec {
         })
     }
 
-    /// Runs the job and returns its result body — exactly the document the
-    /// matching `repro-*` binary would emit under `"result"`.
+    /// Runs the job on exactly [`JobSpec::machine_configs`] and returns
+    /// its result body: the document the matching `redbin-repro`
+    /// subcommand emits under `"result"`, except that `delays` returns
+    /// only the unit-gate report.
     ///
     /// `cancelled` is polled by cancellable kinds (currently [`ExperimentKind::Sleep`],
     /// every 10 ms); simulator experiments run to completion once started —
@@ -770,28 +713,28 @@ impl JobSpec {
     pub fn run(&self, threads: usize, cancelled: &std::sync::atomic::AtomicBool) -> Json {
         use std::sync::atomic::Ordering;
         let cfg = self.experiment_config(threads);
+        let machines = self.machine_configs();
         match self.kind {
-            ExperimentKind::Figure9 => json::ipc_figure(&experiments::figure9(&cfg)),
-            ExperimentKind::Figure10 => json::ipc_figure(&experiments::figure10(&cfg)),
-            ExperimentKind::Figure11 => json::ipc_figure(&experiments::figure11(&cfg)),
-            ExperimentKind::Figure12 => json::ipc_figure(&experiments::figure12(&cfg)),
-            ExperimentKind::Figure13 => json::figure13(&experiments::figure13(&cfg)),
-            ExperimentKind::Figure14 => json::figure14(&experiments::figure14(&cfg)),
+            ExperimentKind::Figure9 | ExperimentKind::Figure11 => json::ipc_figure(
+                &experiments::figure_ipc_on(&machines, Suite::Spec2000, &cfg),
+            ),
+            ExperimentKind::Figure10 | ExperimentKind::Figure12 => {
+                json::ipc_figure(&experiments::figure_ipc_on(&machines, Suite::Spec95, &cfg))
+            }
+            ExperimentKind::Figure13 => json::figure13(&experiments::figure13_on(&machines, &cfg)),
+            ExperimentKind::Figure14 => json::figure14(&experiments::figure14_on(&machines, &cfg)),
             ExperimentKind::Table1 => {
                 let (merged, per) = experiments::table1(&cfg);
                 json::table1(&merged, &per)
             }
             ExperimentKind::Table3 => json::table3(&experiments::table3()),
-            ExperimentKind::Programs => json::programs(&experiments::programs(&cfg)),
+            ExperimentKind::Programs => json::programs(&experiments::programs_on(&machines, &cfg)),
             ExperimentKind::Delays => json::delay_report(&experiments::delay_report()),
             ExperimentKind::Point => {
                 let benches = self.point.map(|p| p.suite.benchmarks()).unwrap_or_default();
-                match self.machine_configs().into_iter().next() {
-                    Some(machine) => json::point(&experiments::run_point(
-                        &machine,
-                        &benches,
-                        self.scale,
-                        threads,
+                match machines.first() {
+                    Some(machine) => json::point(&experiments::run_point_with(
+                        machine, &benches, self.scale, threads, false,
                     )),
                     None => {
                         // A point job without a buildable machine can only
@@ -824,20 +767,22 @@ impl JobSpec {
                         o
                     }
                     Ok(prog) => {
-                        let prog = prog.with_name("custom");
                         let mut o = Json::object();
                         o.set("instructions", Json::UInt(prog.code.len() as u64));
+                        let cells = experiments::run_matrix(
+                            &[prog.with_name("custom")],
+                            &machines,
+                            threads,
+                            Program::clone,
+                            Simulator::run,
+                        );
                         let mut per_model = Json::object();
-                        for machine in self.machine_configs() {
-                            let name = machine.model.name().to_string();
-                            let stats = redbin_sim::Simulator::new(machine, &prog)
-                                .run()
-                                .unwrap_or_else(|e| panic!("custom program faults: {e}"));
+                        for (machine, stats) in machines.iter().zip(&cells[0]) {
                             let mut row = Json::object();
                             row.set("ipc", Json::Num(stats.ipc()));
                             row.set("retired", Json::UInt(stats.retired));
                             row.set("cycles", Json::UInt(stats.cycles));
-                            per_model.set(&name, row);
+                            per_model.set(machine.model.name(), row);
                         }
                         o.set("models", per_model);
                         o
@@ -856,15 +801,6 @@ impl JobSpec {
                 o.set("cancelled", Json::Bool(cancelled.load(Ordering::Relaxed)));
                 o
             }
-        }
-    }
-
-    /// The Spec suite behind an IPC figure, if any (used for reporting).
-    pub fn suite(&self) -> Option<Suite> {
-        match self.kind {
-            ExperimentKind::Figure9 | ExperimentKind::Figure11 => Some(Suite::Spec2000),
-            ExperimentKind::Figure10 | ExperimentKind::Figure12 => Some(Suite::Spec95),
-            _ => None,
         }
     }
 }
@@ -1317,7 +1253,7 @@ mod tests {
         let err = Request::from_line(&unknown).unwrap_err();
         assert!(err.0.contains("unknown request type"), "{err}");
         assert!(ExperimentKind::from_name("figure99").is_err());
-        assert!(scale_from_name("huge").is_err());
+        assert!(Scale::from_name("huge").is_err());
         let bad_spec = format!(
             r#"{{"v":{WIRE_VERSION},"type":"submit","job":{{"experiment":"figure9","scale":"huge"}}}}"#
         );

@@ -12,8 +12,8 @@
 use redbin::json::Json;
 use redbin::sim::{BypassLevels, CoreModel, MachineConfig, SteeringPolicy};
 use redbin::wire::{
-    self, bypass_from_label, model_from_name, model_name, scale_from_name, steering_from_name,
-    steering_name, JobSpec, PointSpec, PointSuite,
+    bypass_from_label, model_from_name, model_name, steering_from_name, steering_name, JobSpec,
+    PointSpec, PointSuite,
 };
 use redbin::workload::Scale;
 
@@ -169,7 +169,7 @@ impl GridSpec {
             ),
         );
         o.set("suite", Json::Str(self.suite.name().to_string()));
-        o.set("scale", Json::Str(wire::scale_name(self.scale).to_string()));
+        o.set("scale", Json::Str(self.scale.name().to_string()));
         o
     }
 
@@ -261,7 +261,7 @@ impl GridSpec {
             let name = s
                 .as_str()
                 .ok_or_else(|| "`scale` must be a string".to_string())?;
-            spec.scale = scale_from_name(name).map_err(|e| e.to_string())?;
+            spec.scale = Scale::from_name(name)?;
         }
         for axis in [
             ("widths", spec.widths.is_empty()),

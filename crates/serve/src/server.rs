@@ -1089,10 +1089,7 @@ fn stats_body(shared: &Shared) -> Json {
             let mut o = Json::object();
             o.set("job", Json::Str(c.id.clone()));
             o.set("experiment", Json::Str(c.kind.name().to_string()));
-            o.set(
-                "scale",
-                Json::Str(redbin::wire::scale_name(c.scale).to_string()),
-            );
+            o.set("scale", Json::Str(c.scale.name().to_string()));
             o.set("state", Json::Str(c.state.name().to_string()));
             o.set("wall-seconds", Json::Num(c.wall_seconds));
             if !c.stall_causes.is_empty() {

@@ -15,7 +15,9 @@
 //!   clients than there are handler threads and hand-off slots;
 //! * the bounded connection path: one request line of at most
 //!   `MAX_REQUEST_BYTES`, and a `server busy` answer past the handler pool
-//!   and its hand-off queue, which the client retries.
+//!   and its hand-off queue, which the client retries;
+//! * a job with a bypass or `rb-rf-only` override runs exactly the
+//!   machines its id names and the submit-time check validates.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -271,6 +273,59 @@ fn unsound_config_is_rejected_before_queueing() {
     assert!(matches!(ok, Response::Accepted { .. }));
 
     shut_down(&client, handle);
+}
+
+#[test]
+fn job_bodies_follow_their_overrides() {
+    // A sound override must reach the simulation: the server checks and
+    // caches a job as its `machine_configs()`, so the body must be the
+    // driver run on exactly those machines, not the plain job's. Figure
+    // 14's Ideal machines produce no redundant results, so `rb-rf-only`
+    // cannot change that body and is left out.
+    use redbin::experiments::{self, ExperimentConfig};
+    use redbin::json;
+    use redbin::sim::{BypassLevels, MachineConfig};
+    use redbin::workload::Suite;
+    use redbin_analyze::bypass::validate_job_configs;
+
+    fn driver(kind: ExperimentKind, machines: &[MachineConfig], cfg: &ExperimentConfig) -> Json {
+        match kind {
+            ExperimentKind::Figure9 => {
+                json::ipc_figure(&experiments::figure_ipc_on(machines, Suite::Spec2000, cfg))
+            }
+            ExperimentKind::Figure13 => json::figure13(&experiments::figure13_on(machines, cfg)),
+            ExperimentKind::Figure14 => json::figure14(&experiments::figure14_on(machines, cfg)),
+            ExperimentKind::Programs => json::programs(&experiments::programs_on(machines, cfg)),
+            other => panic!("no driver for {other:?}"),
+        }
+    }
+    let threads = ExperimentConfig::quick().threads;
+    let cancelled = std::sync::atomic::AtomicBool::new(false);
+    for kind in [
+        ExperimentKind::Figure9,
+        ExperimentKind::Figure13,
+        ExperimentKind::Figure14,
+        ExperimentKind::Programs,
+    ] {
+        let plain = JobSpec::new(kind, Scale::Test);
+        let plain_body = plain.run(threads, &cancelled);
+        let mut overridden = vec![plain.clone().with_bypass(BypassLevels::without(&[1]))];
+        if kind != ExperimentKind::Figure14 {
+            overridden.push(plain.clone().with_rb_rf_only());
+        }
+        for spec in overridden {
+            let machines = spec.machine_configs();
+            let label = spec.to_json().to_compact();
+            assert!(validate_job_configs(&machines).is_ok(), "{label}: unsound");
+            let body = spec.run(threads, &cancelled);
+            assert!(body != plain_body, "{label}: body ignores the override");
+            let expected = driver(kind, &machines, &spec.experiment_config(threads));
+            assert!(
+                body == expected,
+                "{label}: body is not the driver on its machines"
+            );
+        }
+    }
 }
 
 #[test]

@@ -146,7 +146,7 @@ impl WholeProgram {
             // redbin-lint: allow(no-panic)
             .unwrap_or_else(|e| panic!("{}.s does not assemble: {e}", self.name()));
         let (a, b) = self.size(scale);
-        let mut prog = prog.with_name(format!("{}-{}", self.name(), scale_tag(scale)));
+        let mut prog = prog.with_name(format!("{}-{}", self.name(), scale.name()));
         match self {
             WholeProgram::BoxBlur => {
                 prog = prog.with_reg(16, a).with_reg(17, b);
@@ -175,14 +175,6 @@ impl WholeProgram {
             WholeProgram::Sieve => ref_sieve(a as usize),
             WholeProgram::QoiDecode => ref_qoi(a as usize * b as usize),
         }
-    }
-}
-
-fn scale_tag(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Small => "small",
-        Scale::Full => "full",
     }
 }
 

@@ -65,6 +65,29 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The lowercase name used on the command line, on the wire and in
+    /// JSON documents: `test`, `small` or `full`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Test => "test",
+            Scale::Small => "small",
+            Scale::Full => "full",
+        }
+    }
+
+    /// Parses a [`Scale::name`].
+    ///
+    /// # Errors
+    ///
+    /// Names the accepted values on anything else (names are
+    /// case-sensitive).
+    pub fn from_name(name: &str) -> Result<Scale, String> {
+        [Scale::Test, Scale::Small, Scale::Full]
+            .into_iter()
+            .find(|s| s.name() == name)
+            .ok_or_else(|| format!("unknown scale `{name}` (expected test|small|full)"))
+    }
+
     fn factor(self) -> u64 {
         match self {
             Scale::Test => 1,
@@ -249,6 +272,17 @@ mod tests {
             e.run(50_000_000).unwrap()
         };
         assert!(full > 10 * small);
+    }
+
+    #[test]
+    fn scale_names_round_trip() {
+        for s in [Scale::Test, Scale::Small, Scale::Full] {
+            assert_eq!(Scale::from_name(s.name()), Ok(s));
+        }
+        assert_eq!(
+            Scale::from_name("FULL"),
+            Err("unknown scale `FULL` (expected test|small|full)".to_string())
+        );
     }
 
     #[test]

@@ -95,4 +95,27 @@ fn ablation_sweeps_are_monotonic_where_expected() {
     // A bigger window helps (weakly).
     let win = experiments::window_sweep(&c, &[32, 128]);
     assert!(win[1].1 >= win[0].1 * 0.995, "window sweep: {win:?}");
+    // A slower inter-cluster network hurts (weakly).
+    let cluster = experiments::cluster_sweep(&c, &[0, 1, 3]);
+    for pair in cluster.windows(2) {
+        assert!(pair[1].1 <= pair[0].1 * 1.005, "cluster sweep: {cluster:?}");
+    }
+}
+
+#[test]
+fn steering_comparison_covers_both_policies_at_both_widths() {
+    let rows = experiments::steering_comparison(&cfg());
+    let shape: Vec<(&str, usize)> = rows.iter().map(|&(name, width, _)| (name, width)).collect();
+    assert_eq!(
+        shape,
+        [
+            ("round-robin pairs", 4),
+            ("round-robin pairs", 8),
+            ("dependence-aware", 4),
+            ("dependence-aware", 8),
+        ]
+    );
+    for (name, width, hm) in &rows {
+        assert!(hm.is_finite() && *hm > 0.0, "{name} w{width}: h-mean {hm}");
+    }
 }

@@ -15,7 +15,7 @@ use std::path::PathBuf;
 
 use redbin::experiments::{self, ExperimentConfig};
 use redbin::json;
-use redbin::wire::{scale_name, ExperimentKind, JobSpec};
+use redbin::wire::{ExperimentKind, JobSpec};
 use redbin::workload::{Scale, Suite};
 
 fn golden_dir() -> PathBuf {
@@ -115,7 +115,7 @@ fn render_hash_manifest() -> String {
         for scale in [Scale::Test, Scale::Small, Scale::Full] {
             let spec = JobSpec::new(kind, scale);
             jobs.set(
-                &format!("{}-{}", kind.name(), scale_name(scale)),
+                &format!("{}-{}", kind.name(), scale.name()),
                 json::Json::Str(spec.job_id()),
             );
         }
