@@ -299,53 +299,6 @@ pub fn validate_job_configs(configs: &[MachineConfig]) -> Result<(), UnsoundConf
     Ok(())
 }
 
-/// Why [`SoundBuild::build_sound`] failed: the builder rejected the
-/// structural parameters, or the bypass pass proved the result unsound.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BuildError {
-    /// The builder itself failed (e.g. an unsupported width).
-    Config(redbin::sim::ConfigError),
-    /// The configuration builds, but some operand class can never be
-    /// sourced (the §4.2 pathology).
-    Unsound(UnsoundConfig),
-}
-
-impl std::fmt::Display for BuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BuildError::Config(e) => write!(f, "{e}"),
-            BuildError::Unsound(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for BuildError {}
-
-/// Extension trait layering this module's soundness proof onto
-/// [`MachineConfigBuilder`](redbin::sim::MachineConfigBuilder): where
-/// `build()` only validates structure, `build_sound()` additionally runs
-/// [`validate_machine`] and rejects configurations whose bypass network
-/// strands an operand class. (The check lives here, not in `redbin-sim`,
-/// because the analysis depends on the sim crate — deliberately-unsound
-/// test configs keep the bare-fields escape hatch.)
-pub trait SoundBuild {
-    /// Builds the configuration and proves every operand class reachable.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildError::Config`] if the builder rejects the parameters;
-    /// [`BuildError::Unsound`] if the bypass pass finds a stranded class.
-    fn build_sound(self) -> Result<MachineConfig, BuildError>;
-}
-
-impl SoundBuild for redbin::sim::MachineConfigBuilder {
-    fn build_sound(self) -> Result<MachineConfig, BuildError> {
-        let cfg = self.build().map_err(BuildError::Config)?;
-        validate_machine(&cfg).map_err(BuildError::Unsound)?;
-        Ok(cfg)
-    }
-}
-
 /// Checks the static/dynamic Figure 14 agreement: every bypass level with
 /// dynamic uses must be inside the static support.
 ///
@@ -548,28 +501,6 @@ mod tests {
         assert_eq!(e.continuous_from, None);
         assert!(!e.uses_rf);
         assert_eq!(e.levels, [false, false, true]);
-    }
-
-    #[test]
-    fn build_sound_accepts_shipped_shapes_and_rejects_the_pathology() {
-        use redbin::sim::{ConfigError, CoreModel};
-        let cfg = MachineConfig::builder(CoreModel::RbFull, 8)
-            .build_sound()
-            .expect("shipped shape is sound");
-        assert_eq!(cfg, MachineConfig::rb_full(8));
-
-        let err = MachineConfig::builder(CoreModel::RbFull, 4)
-            .rb_rf_only()
-            .bypass(BypassLevels::without(&[3]))
-            .build_sound()
-            .expect_err("§4.2 pathology");
-        assert!(matches!(err, BuildError::Unsound(_)));
-        assert!(err.to_string().contains("never obtainable"));
-
-        let err = MachineConfig::builder(CoreModel::Ideal, 5)
-            .build_sound()
-            .expect_err("unsupported width");
-        assert_eq!(err, BuildError::Config(ConfigError::UnsupportedWidth(5)));
     }
 
     #[test]

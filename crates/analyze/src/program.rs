@@ -1278,14 +1278,6 @@ pub fn analyze_program(
     }
 }
 
-/// Convenience: the dataflow-limit IPC bound of `prog` for one
-/// model/width, from a fresh concrete run (callers doing many
-/// model/width pairs should keep the [`TraceFacts`] and query
-/// [`TraceFacts::bound_ipc`] directly — one run serves all pairs).
-pub fn dataflow_bound(prog: &Program, model: CoreModel, width: usize) -> f64 {
-    TraceFacts::trace(prog, TRACE_STEP_BOUND).bound_ipc(model, width)
-}
-
 /// Tier-A termination: reducible control flow whose every cycle is a
 /// proved counted loop, no indirect calls, no structural defects, and
 /// every reachable `Ret` provably returns through a live link register.

@@ -22,9 +22,7 @@ fn bench_simulator(h: &Bench) {
     for b in [Benchmark::Go, Benchmark::Gap, Benchmark::Mcf] {
         let program = b.program(Scale::Test);
         for model in [CoreModel::Baseline, CoreModel::RbFull] {
-            let config = MachineConfig::builder(model, 8)
-                .build()
-                .expect("supported width");
+            let config = MachineConfig::new(model, 8);
             h.run(&format!("simulate/{}_{}", b.name(), model.name()), || {
                 Simulator::new(config.clone(), &program).run().expect("runs")
             });
@@ -35,10 +33,7 @@ fn bench_simulator(h: &Bench) {
 fn bench_faithful_overhead(h: &Bench) {
     let program = Benchmark::Gap.program(Scale::Test);
     for mode in [DatapathMode::Fast, DatapathMode::Faithful] {
-        let config = MachineConfig::builder(CoreModel::RbFull, 8)
-            .datapath(mode)
-            .build()
-            .expect("supported width");
+        let config = MachineConfig::rb_full(8).with_datapath(mode);
         h.run(&format!("faithful_datapath/{mode:?}"), || {
             Simulator::new(config.clone(), &program).run().expect("runs")
         });

@@ -5,7 +5,7 @@
 //! ways, each pair of executions sharing nothing but the ISA definition:
 //!
 //! 1. **Emulator vs. fast simulator** — the standalone
-//!    [`Emulator`](redbin_isa::Emulator) and the timing simulator's
+//!    [`Emulator`] and the timing simulator's
 //!    embedded oracle must finish in the same
 //!    [`ArchState`](redbin_isa::ArchState) (registers, pc, retirement
 //!    count, memory digest).

@@ -63,15 +63,8 @@ impl ExperimentConfig {
     /// order), so two runs differing only in parallelism share a cache key.
     pub fn fold_canonical(&self, h: &mut redbin_sim::hash::Fnv64) {
         h.write_tag(0xB0); // domain tag: ExperimentConfig
-        h.write_tag(match self.scale {
-            Scale::Test => 0,
-            Scale::Small => 1,
-            Scale::Full => 2,
-        });
-        h.write_tag(match self.datapath {
-            DatapathMode::Fast => 0,
-            DatapathMode::Faithful => 1,
-        });
+        h.write_tag(self.scale.canonical_tag());
+        h.write_tag(self.datapath.canonical_tag());
     }
 
     /// A stable, platform-independent FNV-1a fingerprint of the
@@ -384,7 +377,7 @@ pub struct ProgramRow {
     pub stats: Vec<SimStats>,
 }
 
-///// The whole-program suite result: five complete programs (quicksort,
+/// The whole-program suite result: five complete programs (quicksort,
 /// matmul, box blur, prime sieve, QOI-style decoder) on the four machines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramsReport {

@@ -733,10 +733,7 @@ pub fn point(r: &crate::experiments::PointResult) -> Json {
         ("model", Json::Str(r.machine.model.name().to_string())),
         ("width", Json::UInt(r.machine.width as u64)),
         ("bypass", Json::Str(r.machine.bypass.label())),
-        (
-            "steering",
-            Json::Str(crate::wire::steering_name(r.machine.steering).to_string()),
-        ),
+        ("steering", Json::Str(r.machine.steering.name().to_string())),
         ("rb-rf-only", Json::Bool(r.machine.rb_rf_only)),
         ("rows", Json::Arr(rows)),
         ("hmean-ipc", Json::Num(r.hmean)),

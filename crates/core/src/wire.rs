@@ -53,89 +53,6 @@ fn wire_err(msg: impl Into<String>) -> WireError {
     WireError(msg.into())
 }
 
-/// Parses a bypass-level configuration from its paper label (`"Full"`,
-/// `"No-2"`, `"No-1,2"`, …) — the inverse of [`BypassLevels::label`].
-///
-/// # Errors
-///
-/// Returns a [`WireError`] on anything that is not a label
-/// [`BypassLevels::label`] can produce.
-pub fn bypass_from_label(label: &str) -> Result<BypassLevels, WireError> {
-    if label == "Full" {
-        return Ok(BypassLevels::FULL);
-    }
-    let Some(rest) = label.strip_prefix("No-") else {
-        return Err(wire_err(format!(
-            "unknown bypass label `{label}` (expected Full or No-<levels>)"
-        )));
-    };
-    let mut removed = Vec::new();
-    for part in rest.split(',') {
-        match part {
-            "1" => removed.push(1u8),
-            "2" => removed.push(2),
-            "3" => removed.push(3),
-            other => {
-                return Err(wire_err(format!(
-                    "bad bypass level `{other}` in `{label}` (expected 1, 2 or 3)"
-                )))
-            }
-        }
-    }
-    Ok(BypassLevels::without(&removed))
-}
-
-/// The canonical lowercase name of a core model on the wire (`"baseline"`,
-/// `"rb-limited"`, `"rb-full"`, `"ideal"`).
-pub fn model_name(model: CoreModel) -> &'static str {
-    match model {
-        CoreModel::Baseline => "baseline",
-        CoreModel::RbLimited => "rb-limited",
-        CoreModel::RbFull => "rb-full",
-        CoreModel::Ideal => "ideal",
-    }
-}
-
-/// Parses a wire core-model name.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] naming the accepted values on anything else.
-pub fn model_from_name(name: &str) -> Result<CoreModel, WireError> {
-    CoreModel::all()
-        .iter()
-        .copied()
-        .find(|&m| model_name(m) == name)
-        .ok_or_else(|| {
-            wire_err(format!(
-                "unknown model `{name}` (expected baseline|rb-limited|rb-full|ideal)"
-            ))
-        })
-}
-
-/// The canonical name of a steering policy on the wire.
-pub fn steering_name(policy: SteeringPolicy) -> &'static str {
-    match policy {
-        SteeringPolicy::RoundRobinPairs => "round-robin",
-        SteeringPolicy::DependenceAware => "dependence-aware",
-    }
-}
-
-/// Parses a wire steering-policy name.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] naming the accepted values on anything else.
-pub fn steering_from_name(name: &str) -> Result<SteeringPolicy, WireError> {
-    match name {
-        "round-robin" => Ok(SteeringPolicy::RoundRobinPairs),
-        "dependence-aware" => Ok(SteeringPolicy::DependenceAware),
-        other => Err(wire_err(format!(
-            "unknown steering `{other}` (expected round-robin|dependence-aware)"
-        ))),
-    }
-}
-
 /// The experiments a server can run as batch jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExperimentKind {
@@ -292,16 +209,14 @@ impl PointSuite {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] naming the accepted values on anything else.
-    pub fn from_name(name: &str) -> Result<Self, WireError> {
+    /// Names the accepted values on anything else.
+    pub fn from_name(name: &str) -> Result<Self, String> {
         Self::all()
             .iter()
             .copied()
             .find(|s| s.name() == name)
             .ok_or_else(|| {
-                wire_err(format!(
-                    "unknown point suite `{name}` (expected quick|spec95|spec2000|all)"
-                ))
+                format!("unknown point suite `{name}` (expected quick|spec95|spec2000|all)")
             })
     }
 
@@ -352,9 +267,9 @@ impl PointSpec {
     /// Serializes for the `point` key of a job envelope.
     pub fn to_json(&self) -> Json {
         let mut o = Json::object();
-        o.set("model", Json::Str(model_name(self.model).to_string()));
+        o.set("model", Json::Str(self.model.wire_name().to_string()));
         o.set("width", Json::UInt(self.width as u64));
-        o.set("steering", Json::Str(steering_name(self.steering).to_string()));
+        o.set("steering", Json::Str(self.steering.name().to_string()));
         o.set("suite", Json::Str(self.suite.name().to_string()));
         o
     }
@@ -366,26 +281,23 @@ impl PointSpec {
     /// Returns a [`WireError`] on missing fields, unknown names, or a
     /// width the paper does not study (anything but 4 or 8).
     pub fn from_json(v: &Json) -> Result<Self, WireError> {
-        let model = model_from_name(
+        let model = CoreModel::from_wire_name(
             v.get("model")
                 .and_then(Json::as_str)
                 .ok_or_else(|| wire_err("point spec missing `model`"))?,
-        )?;
+        )
+        .map_err(WireError)?;
         let width = v
             .get("width")
             .and_then(Json::as_u64)
             .ok_or_else(|| wire_err("point spec missing `width`"))? as usize;
-        if width != 4 && width != 8 {
-            return Err(wire_err(format!(
-                "unsupported point width {width} (the paper studies 4- and 8-wide)"
-            )));
-        }
+        MachineConfig::try_new(model, width).map_err(|e| wire_err(e.to_string()))?;
         let steering = match v.get("steering").and_then(Json::as_str) {
-            Some(s) => steering_from_name(s)?,
+            Some(s) => SteeringPolicy::from_name(s).map_err(WireError)?,
             None => SteeringPolicy::RoundRobinPairs,
         };
         let suite = match v.get("suite").and_then(Json::as_str) {
-            Some(s) => PointSuite::from_name(s)?,
+            Some(s) => PointSuite::from_name(s).map_err(WireError)?,
             None => PointSuite::Quick,
         };
         Ok(PointSpec { model, width, steering, suite })
@@ -440,28 +352,16 @@ impl JobSpec {
     /// A synthetic sleep job.
     pub fn sleep(millis: u64) -> Self {
         JobSpec {
-            kind: ExperimentKind::Sleep,
-            scale: Scale::Test,
-            datapath: DatapathMode::Fast,
             sleep_ms: millis,
-            bypass: None,
-            rb_rf_only: false,
-            point: None,
-            custom: None,
+            ..JobSpec::new(ExperimentKind::Sleep, Scale::Test)
         }
     }
 
     /// A design-space point job (see [`PointSpec`]).
     pub fn point(spec: PointSpec, scale: Scale) -> Self {
         JobSpec {
-            kind: ExperimentKind::Point,
-            scale,
-            datapath: DatapathMode::Fast,
-            sleep_ms: 0,
-            bypass: None,
-            rb_rf_only: false,
             point: Some(spec),
-            custom: None,
+            ..JobSpec::new(ExperimentKind::Point, scale)
         }
     }
 
@@ -469,14 +369,8 @@ impl JobSpec {
     /// [`text`](redbin_workload::text) assembler.
     pub fn custom_program(source: impl Into<String>, scale: Scale) -> Self {
         JobSpec {
-            kind: ExperimentKind::Custom,
-            scale,
-            datapath: DatapathMode::Fast,
-            sleep_ms: 0,
-            bypass: None,
-            rb_rf_only: false,
-            point: None,
             custom: Some(source.into()),
+            ..JobSpec::new(ExperimentKind::Custom, scale)
         }
     }
 
@@ -510,18 +404,15 @@ impl JobSpec {
     /// [`JobSpec::run`] simulates.
     pub fn machine_configs(&self) -> Vec<MachineConfig> {
         let mut out = match self.kind {
-            // One machine, described by the point spec. The builder is the
-            // non-panicking construction path; a width it rejects (only
-            // possible by bypassing `PointSpec::from_json`) yields an empty
-            // machine list, which `run` reports as a structured error.
+            // One machine, described by the point spec. A width `try_new`
+            // rejects (only possible by bypassing `PointSpec::from_json`)
+            // yields an empty machine list, which `run` reports as a
+            // structured error.
             ExperimentKind::Point => self
                 .point
                 .and_then(|p| {
-                    MachineConfig::builder(p.model, p.width)
-                        .steering(p.steering)
-                        .datapath(self.datapath)
-                        .build()
-                        .ok()
+                    let m = MachineConfig::try_new(p.model, p.width).ok()?;
+                    Some(m.with_steering(p.steering).with_datapath(self.datapath))
                 })
                 .into_iter()
                 .collect(),
@@ -574,10 +465,7 @@ impl JobSpec {
             h.write_tag(0xB3);
             h.write_tag(p.model.canonical_tag());
             h.write_usize(p.width);
-            h.write_tag(match p.steering {
-                SteeringPolicy::RoundRobinPairs => 0,
-                SteeringPolicy::DependenceAware => 1,
-            });
+            h.write_tag(p.steering.canonical_tag());
             h.write_tag(p.suite.canonical_tag());
         }
         if let Some(src) = &self.custom {
@@ -600,16 +488,7 @@ impl JobSpec {
         let mut o = Json::object();
         o.set("experiment", Json::Str(self.kind.name().to_string()));
         o.set("scale", Json::Str(self.scale.name().to_string()));
-        o.set(
-            "datapath",
-            Json::Str(
-                match self.datapath {
-                    DatapathMode::Fast => "fast",
-                    DatapathMode::Faithful => "faithful",
-                }
-                .to_string(),
-            ),
-        );
+        o.set("datapath", Json::Str(self.datapath.name().to_string()));
         if self.kind == ExperimentKind::Sleep {
             o.set("millis", Json::UInt(self.sleep_ms));
         }
@@ -644,17 +523,12 @@ impl JobSpec {
             None => Scale::Test,
         };
         let datapath = match v.get("datapath").and_then(Json::as_str) {
-            Some("fast") | None => DatapathMode::Fast,
-            Some("faithful") => DatapathMode::Faithful,
-            Some(other) => {
-                return Err(wire_err(format!(
-                    "unknown datapath `{other}` (expected fast|faithful)"
-                )))
-            }
+            Some(s) => DatapathMode::from_name(s).map_err(WireError)?,
+            None => DatapathMode::Fast,
         };
         let sleep_ms = v.get("millis").and_then(Json::as_u64).unwrap_or(0);
         let bypass = match v.get("bypass").and_then(Json::as_str) {
-            Some(label) => Some(bypass_from_label(label)?),
+            Some(label) => Some(BypassLevels::from_label(label).map_err(WireError)?),
             None => None,
         };
         let rb_rf_only = match v.get("rb-rf-only") {
@@ -1284,17 +1158,45 @@ mod tests {
         // …and even on kinds with no timing machines (fold is explicit).
         let s = JobSpec::sleep(1).with_rb_rf_only();
         assert_ne!(JobSpec::sleep(1).job_id(), s.job_id());
+
+        // Ids pinned beyond the goldens (which hold only Fast,
+        // round-robin jobs), so a datapath or steering tag moved to
+        // another value fails here.
+        assert_eq!(e.job_id(), "54b79319ceb57e8d");
+        let point = PointSpec {
+            model: CoreModel::RbLimited,
+            width: 8,
+            steering: SteeringPolicy::DependenceAware,
+            suite: PointSuite::Quick,
+        };
+        assert_eq!(
+            JobSpec::point(point, Scale::Test).job_id(),
+            "23efd19ff4c9ff25"
+        );
+        let mut every_field = JobSpec::point(point, Scale::Test)
+            .with_bypass(BypassLevels::without(&[2, 3]))
+            .with_rb_rf_only();
+        every_field.datapath = DatapathMode::Faithful;
+        assert_eq!(
+            every_field.to_json().to_compact(),
+            r#"{"experiment":"point","scale":"test","datapath":"faithful","bypass":"No-2,3","rb-rf-only":true,"point":{"model":"rb-limited","width":8,"steering":"dependence-aware","suite":"quick"}}"#
+        );
+        assert_eq!(every_field.job_id(), "dfcead757256d1b4");
+        assert_eq!(JobSpec::from_json(&every_field.to_json()), Ok(every_field));
     }
 
     #[test]
     fn bypass_labels_roundtrip_on_the_wire() {
         for removed in [&[][..], &[1], &[2], &[3], &[2, 3], &[1, 2, 3]] {
             let levels = BypassLevels::without(removed);
-            assert_eq!(bypass_from_label(&levels.label()).expect("parses"), levels);
+            assert_eq!(
+                BypassLevels::from_label(&levels.label()).expect("parses"),
+                levels
+            );
         }
-        assert!(bypass_from_label("no-2").is_err());
-        assert!(bypass_from_label("No-4").is_err());
-        assert!(bypass_from_label("").is_err());
+        assert!(BypassLevels::from_label("no-2").is_err());
+        assert!(BypassLevels::from_label("No-4").is_err());
+        assert!(BypassLevels::from_label("").is_err());
 
         let spec = JobSpec::new(ExperimentKind::Figure9, Scale::Test)
             .with_bypass(BypassLevels::without(&[2, 3]))
@@ -1419,8 +1321,8 @@ top:    subq r1, #1, r1
         misplaced.set("point", base.to_json());
         assert!(JobSpec::from_json(&misplaced).is_err());
         assert!(PointSuite::from_name("huge").is_err());
-        assert!(model_from_name("pentium").is_err());
-        assert!(steering_from_name("static").is_err());
+        assert!(CoreModel::from_wire_name("pentium").is_err());
+        assert!(SteeringPolicy::from_name("static").is_err());
     }
 
     #[test]
@@ -1433,7 +1335,7 @@ top:    subq r1, #1, r1
             assert_eq!(PointSuite::from_name(s.name()).expect("parses"), s);
         }
         for &m in CoreModel::all() {
-            assert_eq!(model_from_name(model_name(m)).expect("parses"), m);
+            assert_eq!(CoreModel::from_wire_name(m.wire_name()).expect("parses"), m);
         }
     }
 

@@ -73,7 +73,7 @@ pub const ADDER_BITS: usize = 64;
 /// * `Baseline` — a two-part staggered two's-complement adder, the
 ///   Pentium-4-style structure the paper's conventional core assumes.
 /// * `RbLimited` / `RbFull` — the constant-depth redundant-binary adder.
-/// * `Ideal` — a full-width carry-lookahead (Kogge–Stone) adder: the
+/// * `Ideal` — a full-width carry-lookahead (Brent–Kung) adder: the
 ///   no-redundancy oracle still has to resolve carries.
 pub fn adder_delay(model: CoreModel, spec: DelayModelSpec) -> f64 {
     let dm = spec.model();

@@ -11,10 +11,7 @@
 
 use redbin::json::Json;
 use redbin::sim::{BypassLevels, CoreModel, MachineConfig, SteeringPolicy};
-use redbin::wire::{
-    bypass_from_label, model_from_name, model_name, steering_from_name, steering_name, JobSpec,
-    PointSpec, PointSuite,
-};
+use redbin::wire::{JobSpec, PointSpec, PointSuite};
 use redbin::workload::Scale;
 
 use crate::delay::DelayModelSpec;
@@ -43,7 +40,7 @@ pub struct GridSpec {
 impl Default for GridSpec {
     /// The full default grid: 2 widths x 4 models x 7 bypass configs x
     /// 2 steering policies x 2 rb-rf-only settings x 2 delay models =
-    /// 448 points, of which the §4.2 pathology prunes 48 before any
+    /// 448 points, of which the §4.2 pathology prunes 64 before any
     /// simulation is spent.
     fn default() -> Self {
         GridSpec {
@@ -58,10 +55,7 @@ impl Default for GridSpec {
                 BypassLevels::without(&[2, 3]),
                 BypassLevels::without(&[1, 2, 3]),
             ],
-            steering: vec![
-                SteeringPolicy::RoundRobinPairs,
-                SteeringPolicy::DependenceAware,
-            ],
+            steering: SteeringPolicy::all().to_vec(),
             rb_rf_only: vec![false, true],
             delay_models: vec![DelayModelSpec::UnitGate, DelayModelSpec::FanoutAware(0.2)],
             suite: PointSuite::Quick,
@@ -138,7 +132,7 @@ impl GridSpec {
             Json::Arr(
                 self.models
                     .iter()
-                    .map(|&m| Json::Str(model_name(m).to_string()))
+                    .map(|m| Json::Str(m.wire_name().to_string()))
                     .collect(),
             ),
         );
@@ -151,7 +145,7 @@ impl GridSpec {
             Json::Arr(
                 self.steering
                     .iter()
-                    .map(|&s| Json::Str(steering_name(s).to_string()))
+                    .map(|s| Json::Str(s.name().to_string()))
                     .collect(),
             ),
         );
@@ -206,30 +200,30 @@ impl GridSpec {
             for item in items {
                 let w = item
                     .as_u64()
-                    .ok_or_else(|| "`widths` entries must be integers".to_string())?;
-                if w != 4 && w != 8 {
-                    return Err(format!("unsupported width {w} (expected 4 or 8)"));
-                }
-                widths.push(w as usize);
+                    .ok_or_else(|| "`widths` entries must be integers".to_string())?
+                    as usize;
+                // Which widths exist does not depend on the model.
+                MachineConfig::try_new(CoreModel::Baseline, w).map_err(|e| e.to_string())?;
+                widths.push(w);
             }
             spec.widths = widths;
         }
         if let Some(names) = str_items(v, "models")? {
             spec.models = names
                 .iter()
-                .map(|n| model_from_name(n).map_err(|e| e.to_string()))
+                .map(|n| CoreModel::from_wire_name(n))
                 .collect::<Result<_, _>>()?;
         }
         if let Some(labels) = str_items(v, "bypass")? {
             spec.bypass = labels
                 .iter()
-                .map(|l| bypass_from_label(l).map_err(|e| e.to_string()))
+                .map(|l| BypassLevels::from_label(l))
                 .collect::<Result<_, _>>()?;
         }
         if let Some(names) = str_items(v, "steering")? {
             spec.steering = names
                 .iter()
-                .map(|n| steering_from_name(n).map_err(|e| e.to_string()))
+                .map(|n| SteeringPolicy::from_name(n))
                 .collect::<Result<_, _>>()?;
         }
         if let Some(flags) = v.get("rb-rf-only") {
@@ -255,7 +249,7 @@ impl GridSpec {
             let name = s
                 .as_str()
                 .ok_or_else(|| "`suite` must be a string".to_string())?;
-            spec.suite = PointSuite::from_name(name).map_err(|e| e.to_string())?;
+            spec.suite = PointSuite::from_name(name)?;
         }
         if let Some(s) = v.get("scale") {
             let name = s
@@ -305,7 +299,7 @@ impl GridPoint {
             self.model.name(),
             self.width,
             self.bypass.label(),
-            steering_name(self.steering),
+            self.steering.name(),
             if self.rb_rf_only { " rb-rf-only" } else { "" },
             self.delay.name(),
         )
@@ -320,11 +314,10 @@ impl GridPoint {
     /// possible when a [`GridSpec`] is constructed by hand, bypassing
     /// the validated decode paths).
     pub fn machine(&self) -> Result<MachineConfig, String> {
-        let mut cfg = MachineConfig::builder(self.model, self.width)
-            .bypass(self.bypass)
-            .steering(self.steering)
-            .build()
-            .map_err(|e| e.to_string())?;
+        let mut cfg = MachineConfig::try_new(self.model, self.width)
+            .map_err(|e| e.to_string())?
+            .with_bypass(self.bypass)
+            .with_steering(self.steering);
         if self.rb_rf_only {
             cfg = cfg.with_rb_rf_only();
         }

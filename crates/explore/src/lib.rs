@@ -5,14 +5,14 @@
 //!
 //! An exploration is a four-stage pipeline:
 //!
-//! 1. **Enumerate** — a declarative [`GridSpec`](grid::GridSpec) cross
+//! 1. **Enumerate** — a declarative [`GridSpec`] cross
 //!    product over widths, core models, bypass ablations, steering
 //!    policies, the `rb_rf_only` escape hatch, and gate-delay models.
 //! 2. **Prune** — every point runs through the static dataflow
 //!    reachability proof (`redbin_analyze::bypass`) *before* any
 //!    simulation; unsound points are rejected with per-reason counts.
 //! 3. **Simulate** — surviving points deduplicate onto content-addressed
-//!    [`JobSpec`](redbin::wire::JobSpec)s (the delay axis never affects
+//!    [`JobSpec`]s (the delay axis never affects
 //!    simulated IPC) and fan out through a local worker pool or a
 //!    running `redbin-served` instance, where re-runs hit the cache.
 //! 4. **Frontier** — the Pareto frontier of harmonic-mean IPC versus

@@ -8,7 +8,6 @@
 use std::fmt::Write as _;
 
 use redbin::json::{self, Json};
-use redbin::wire::steering_name;
 
 use crate::{EvaluatedPoint, ExploreOutcome};
 
@@ -28,10 +27,7 @@ fn point_json(ep: &EvaluatedPoint, on_frontier: bool) -> Json {
     o.set("model", Json::Str(ep.point.model.name().to_string()));
     o.set("width", Json::UInt(ep.point.width as u64));
     o.set("bypass", Json::Str(ep.point.bypass.label()));
-    o.set(
-        "steering",
-        Json::Str(steering_name(ep.point.steering).to_string()),
-    );
+    o.set("steering", Json::Str(ep.point.steering.name().to_string()));
     o.set("rb-rf-only", Json::Bool(ep.point.rb_rf_only));
     o.set("delay-model", Json::Str(ep.point.delay.name()));
     o.set("hmean-ipc", Json::Num(ep.ipc));
@@ -112,7 +108,7 @@ pub fn render_text(out: &ExploreOutcome) -> String {
             ep.point.model.name(),
             ep.point.width,
             ep.point.bypass.label(),
-            steering_name(ep.point.steering),
+            ep.point.steering.name(),
             if ep.point.rb_rf_only { "yes" } else { "no" },
             ep.point.delay.name(),
             ep.delay,

@@ -12,7 +12,7 @@
 //! * [`netlist`] — a tiny structural netlist with functional simulation and
 //!   critical-path analysis under unit-gate or fan-out-aware delay models.
 //! * [`adders`] — netlist builders: ripple-carry, parallel-prefix
-//!   carry-lookahead (Kogge–Stone), carry-select, the redundant binary
+//!   carry-lookahead (Brent–Kung), carry-select, the redundant binary
 //!   adder (one constant-depth slice per digit), and the redundant→TC
 //!   converter.
 //! * [`report`] — the §3.4 comparison table: critical-path depth versus

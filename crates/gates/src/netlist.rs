@@ -16,7 +16,7 @@ impl NodeId {
 }
 
 /// The kind of a netlist node, without its fan-in wiring — the public
-/// face of [`Node`] used by external analyses (`redbin-analyze` rebuilds
+/// face of `Node` used by external analyses (`redbin-analyze` rebuilds
 /// the graph through [`Netlist::node_kind`] / [`Netlist::fanins`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
@@ -286,11 +286,6 @@ impl Netlist {
             .count()
     }
 
-    /// The named outputs, in registration order.
-    pub fn output_names(&self) -> impl Iterator<Item = &str> {
-        self.outputs.iter().map(|(n, _)| n.as_str())
-    }
-
     /// The total number of nodes (inputs + constants + gates).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -458,15 +453,6 @@ impl Netlist {
             .iter()
             .map(|(_, id)| t[id.0 as usize])
             .fold(0.0, f64::max)
-    }
-
-    /// Per-output arrival times, useful for staged (staggered) designs.
-    pub fn output_delays(&self, model: DelayModel) -> HashMap<String, f64> {
-        let t = self.arrival_times(model);
-        self.outputs
-            .iter()
-            .map(|(name, id)| (name.clone(), t[id.0 as usize]))
-            .collect()
     }
 
     /// The largest fanout of any node — the paper emphasises the redundant

@@ -166,11 +166,6 @@ impl Emulator {
         &self.mem
     }
 
-    /// Mutable access to the memory image.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// `true` once `Halt` has executed.
     pub fn is_halted(&self) -> bool {
         self.halted
@@ -187,7 +182,8 @@ impl Emulator {
         }
     }
 
-    /// Number of instructions retired so far (excluding the `Halt`).
+    /// Number of instructions retired so far, counting the `Halt` once it
+    /// has executed.
     pub fn retired(&self) -> u64 {
         self.retired
     }

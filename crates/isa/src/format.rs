@@ -8,7 +8,6 @@
 //! complement (memory stores data in 2's complement), and store *data*
 //! must be 2's complement for the same reason.
 
-use crate::inst::{Inst, Operand};
 use crate::opcode::Opcode;
 
 /// The format of a produced value on a redundant binary machine.
@@ -54,7 +53,7 @@ pub fn output_format(op: Opcode) -> Option<ValueFormat> {
 }
 
 /// The input requirement for source operand `idx`, where `idx` indexes the
-/// canonical [`Inst::sources`] order.
+/// canonical [`Inst::sources`](crate::inst::Inst::sources) order.
 ///
 /// Notably: store instructions accept a redundant **address** (via the
 /// modified SAM decoder) but demand 2's-complement **data** (`idx == 1`).
@@ -199,14 +198,6 @@ impl Table1Counts {
         }
         self.total += other.total;
     }
-}
-
-/// `true` if the instruction's source at canonical index `idx` must be in
-/// 2's complement (convenience over [`input_req`]).
-pub fn source_needs_tc(inst: &Inst, idx: usize) -> bool {
-    // Immediates never need conversion; callers index register sources.
-    let _ = matches!(inst.rb, Operand::Imm(_));
-    input_req(inst.op, idx) == InputReq::TcOnly
 }
 
 #[cfg(test)]

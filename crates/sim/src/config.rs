@@ -2,7 +2,6 @@
 //! Table 3 latencies.
 
 use redbin_isa::class::{latency_class, LatencyClass};
-use redbin_isa::format::{output_format, ValueFormat};
 use redbin_isa::Opcode;
 
 use crate::hash::Fnv64;
@@ -37,6 +36,32 @@ impl CoreModel {
             CoreModel::RbFull => "RB-full",
             CoreModel::Ideal => "Ideal",
         }
+    }
+
+    /// The lowercase name used on the wire, in grid specs and on the
+    /// command line: `baseline`, `rb-limited`, `rb-full` or `ideal`.
+    pub fn wire_name(self) -> &'static str {
+        match self {
+            CoreModel::Baseline => "baseline",
+            CoreModel::RbLimited => "rb-limited",
+            CoreModel::RbFull => "rb-full",
+            CoreModel::Ideal => "ideal",
+        }
+    }
+
+    /// Parses a [`CoreModel::wire_name`].
+    ///
+    /// # Errors
+    ///
+    /// Names the accepted values on anything else.
+    pub fn from_wire_name(name: &str) -> Result<CoreModel, String> {
+        CoreModel::all()
+            .iter()
+            .copied()
+            .find(|m| m.wire_name() == name)
+            .ok_or_else(|| {
+                format!("unknown model `{name}` (expected baseline|rb-limited|rb-full|ideal)")
+            })
     }
 
     /// The canonical one-byte tag used by [`MachineConfig::canonical_hash`].
@@ -134,6 +159,36 @@ impl BypassLevels {
             format!("No-{}", removed.join(","))
         }
     }
+
+    /// Parses a [`BypassLevels::label`] (`Full`, `No-2`, `No-1,2`, …).
+    ///
+    /// # Errors
+    ///
+    /// Names the expected form on anything `label` cannot produce.
+    pub fn from_label(label: &str) -> Result<Self, String> {
+        if label == "Full" {
+            return Ok(BypassLevels::FULL);
+        }
+        let Some(rest) = label.strip_prefix("No-") else {
+            return Err(format!(
+                "unknown bypass label `{label}` (expected Full or No-<levels>)"
+            ));
+        };
+        let mut removed = Vec::new();
+        for part in rest.split(',') {
+            match part {
+                "1" => removed.push(1u8),
+                "2" => removed.push(2),
+                "3" => removed.push(3),
+                other => {
+                    return Err(format!(
+                        "bad bypass level `{other}` in `{label}` (expected 1, 2 or 3)"
+                    ))
+                }
+            }
+        }
+        Ok(BypassLevels::without(&removed))
+    }
 }
 
 /// How dispatched instructions are distributed across the partitioned
@@ -151,6 +206,48 @@ pub enum SteeringPolicy {
     DependenceAware,
 }
 
+impl SteeringPolicy {
+    /// Both policies, the paper's first.
+    pub fn all() -> &'static [SteeringPolicy] {
+        &[
+            SteeringPolicy::RoundRobinPairs,
+            SteeringPolicy::DependenceAware,
+        ]
+    }
+
+    /// The name used on the wire and in grid specs: `round-robin` or
+    /// `dependence-aware`.
+    pub fn name(self) -> &'static str {
+        match self {
+            SteeringPolicy::RoundRobinPairs => "round-robin",
+            SteeringPolicy::DependenceAware => "dependence-aware",
+        }
+    }
+
+    /// Parses a [`SteeringPolicy::name`].
+    ///
+    /// # Errors
+    ///
+    /// Names the accepted values on anything else.
+    pub fn from_name(name: &str) -> Result<SteeringPolicy, String> {
+        SteeringPolicy::all()
+            .iter()
+            .copied()
+            .find(|p| p.name() == name)
+            .ok_or_else(|| {
+                format!("unknown steering `{name}` (expected round-robin|dependence-aware)")
+            })
+    }
+
+    /// The canonical one-byte tag used by [`MachineConfig::canonical_hash`].
+    pub fn canonical_tag(self) -> u8 {
+        match self {
+            SteeringPolicy::RoundRobinPairs => 0,
+            SteeringPolicy::DependenceAware => 1,
+        }
+    }
+}
+
 /// Whether ALU results are recomputed through the redundant binary
 /// datapath and checked against the architectural oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -164,14 +261,46 @@ pub enum DatapathMode {
     Faithful,
 }
 
+impl DatapathMode {
+    /// The name used on the wire: `fast` or `faithful`.
+    pub fn name(self) -> &'static str {
+        match self {
+            DatapathMode::Fast => "fast",
+            DatapathMode::Faithful => "faithful",
+        }
+    }
+
+    /// Parses a [`DatapathMode::name`].
+    ///
+    /// # Errors
+    ///
+    /// Names the accepted values on anything else.
+    pub fn from_name(name: &str) -> Result<DatapathMode, String> {
+        [DatapathMode::Fast, DatapathMode::Faithful]
+            .into_iter()
+            .find(|d| d.name() == name)
+            .ok_or_else(|| format!("unknown datapath `{name}` (expected fast|faithful)"))
+    }
+
+    /// The canonical one-byte tag folded into configuration hashes.
+    pub fn canonical_tag(self) -> u8 {
+        match self {
+            DatapathMode::Fast => 0,
+            DatapathMode::Faithful => 1,
+        }
+    }
+}
+
 /// The full machine configuration (Table 2 defaults).
 ///
-/// Prefer constructing through [`MachineConfig::builder`] (which returns
-/// a `Result` instead of panicking, and which `redbin-analyze` extends
-/// with a bypass-soundness check via its `SoundBuild` trait). The public
-/// fields remain directly assignable as the *escape hatch* for
-/// deliberately-unsound configurations — tests that must exercise the
-/// analyzer's rejection paths mutate fields the builder would refuse.
+/// Construct through a preset ([`MachineConfig::ideal`], …) or, for a
+/// width that is not known to be valid, [`MachineConfig::try_new`],
+/// which returns a `Result` instead of panicking; then chain the
+/// `with_*` modifiers. `redbin-analyze`'s `validate_machine` proves the
+/// result's bypass network sound. The public fields remain directly
+/// assignable as the *escape hatch* for deliberately-unsound
+/// configurations — tests that must exercise the analyzer's rejection
+/// paths mutate fields no modifier sets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Which §5.1 core model.
@@ -234,11 +363,23 @@ impl MachineConfig {
     ///
     /// # Panics
     ///
-    /// Panics unless `width` is 4 or 8.
+    /// Panics unless `width` is 4 or 8; [`try_new`](Self::try_new) is the
+    /// checked form.
     pub fn new(model: CoreModel, width: usize) -> Self {
-        assert!(width == 4 || width == 8, "the paper studies 4- and 8-wide");
+        Self::try_new(model, width).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// A Table 2 machine of the given width and core model.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::UnsupportedWidth`] unless `width` is 4 or 8.
+    pub fn try_new(model: CoreModel, width: usize) -> Result<Self, ConfigError> {
+        if width != 4 && width != 8 {
+            return Err(ConfigError::UnsupportedWidth(width));
+        }
         let clusters = if width == 8 { 2 } else { 1 };
-        MachineConfig {
+        Ok(MachineConfig {
             model,
             width,
             front_width: 8,
@@ -261,7 +402,7 @@ impl MachineConfig {
             datapath: DatapathMode::Fast,
             max_cycles: 0,
             rb_rf_only: false,
-        }
+        })
     }
 
     /// The Baseline machine (2-cycle pipelined TC adders).
@@ -313,20 +454,6 @@ impl MachineConfig {
     pub fn with_rb_rf_only(mut self) -> Self {
         self.rb_rf_only = true;
         self
-    }
-
-    /// Checked construction: like [`new`](Self::new) but deferring the
-    /// width check to [`MachineConfigBuilder::build`], which returns a
-    /// `Result` instead of panicking. `redbin-analyze` layers the bypass
-    /// soundness proof on top (its `SoundBuild::build_sound`), so callers
-    /// that can see the analyzer get a fully validated machine from one
-    /// chain.
-    #[must_use]
-    pub fn builder(model: CoreModel, width: usize) -> MachineConfigBuilder {
-        MachineConfigBuilder {
-            width,
-            cfg: (width == 4 || width == 8).then(|| MachineConfig::new(model, width)),
-        }
     }
 
     /// Reservation-station entries per scheduler.
@@ -386,12 +513,6 @@ impl MachineConfig {
         }
     }
 
-    /// The *format category* of a result for the Figure 13 bypass-case
-    /// accounting: redundant producers are the Table 1 RB-output rows.
-    pub fn format_category_is_rb(&self, op: Opcode) -> bool {
-        self.model.is_rb() && output_format(op) == Some(ValueFormat::Rb)
-    }
-
     /// Folds every timing-relevant field into `h` in canonical order.
     ///
     /// This is the [`MachineConfig`] half of the serving layer's
@@ -427,14 +548,8 @@ impl MachineConfig {
         h.write_u64(d).write_usize(e).write_u64(f);
         let (a, b, c) = self.memory;
         h.write_u64(a).write_usize(b).write_u64(c);
-        h.write_tag(match self.steering {
-            SteeringPolicy::RoundRobinPairs => 0,
-            SteeringPolicy::DependenceAware => 1,
-        });
-        h.write_tag(match self.datapath {
-            DatapathMode::Fast => 0,
-            DatapathMode::Faithful => 1,
-        });
+        h.write_tag(self.steering.canonical_tag());
+        h.write_tag(self.datapath.canonical_tag());
         h.write_u64(self.max_cycles);
         if self.rb_rf_only {
             h.write_tag(0xA1); // domain tag: post-v1 extension fields
@@ -452,7 +567,7 @@ impl MachineConfig {
 }
 
 /// A structurally invalid [`MachineConfig`] request, from
-/// [`MachineConfigBuilder::build`].
+/// [`MachineConfig::try_new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// The paper studies 4- and 8-wide machines only.
@@ -470,71 +585,6 @@ impl std::fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Checked builder from [`MachineConfig::builder`]: collects the same
-/// modifiers as the `with_*` methods but never panics — structural
-/// problems surface as a [`ConfigError`] from [`build`](Self::build).
-///
-/// The modifiers only restyle fields that existed in the original layout,
-/// so a built configuration hashes identically to the equivalent
-/// preset-plus-`with_*` chain (the pinned manifest in
-/// `tests/golden/canonical_hashes.json` stays valid).
-#[derive(Debug, Clone)]
-pub struct MachineConfigBuilder {
-    width: usize,
-    cfg: Option<MachineConfig>,
-}
-
-impl MachineConfigBuilder {
-    fn map(mut self, f: impl FnOnce(MachineConfig) -> MachineConfig) -> Self {
-        self.cfg = self.cfg.take().map(f);
-        self
-    }
-
-    /// Replace the bypass-level configuration (Figure 14).
-    #[must_use]
-    pub fn bypass(self, bypass: BypassLevels) -> Self {
-        self.map(|c| c.with_bypass(bypass))
-    }
-
-    /// Select the datapath fidelity mode.
-    #[must_use]
-    pub fn datapath(self, mode: DatapathMode) -> Self {
-        self.map(|c| c.with_datapath(mode))
-    }
-
-    /// Replace the scheduler steering policy.
-    #[must_use]
-    pub fn steering(self, steering: SteeringPolicy) -> Self {
-        self.map(|c| c.with_steering(steering))
-    }
-
-    /// Drop the 2's-complement write-back path (deliberately unsound on
-    /// RB machines; see [`MachineConfig::rb_rf_only`]).
-    #[must_use]
-    pub fn rb_rf_only(self) -> Self {
-        self.map(MachineConfig::with_rb_rf_only)
-    }
-
-    /// Set the run-away cycle limit (0 disables it).
-    #[must_use]
-    pub fn max_cycles(self, max_cycles: u64) -> Self {
-        self.map(|mut c| {
-            c.max_cycles = max_cycles;
-            c
-        })
-    }
-
-    /// Finishes construction.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::UnsupportedWidth`] when the requested width is
-    /// neither 4 nor 8.
-    pub fn build(self) -> Result<MachineConfig, ConfigError> {
-        self.cfg.ok_or(ConfigError::UnsupportedWidth(self.width))
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -564,42 +614,18 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_odd_widths_without_panicking() {
-        let err = MachineConfig::builder(CoreModel::Ideal, 6).build().unwrap_err();
+    fn try_new_rejects_odd_widths_without_panicking() {
+        let err = MachineConfig::try_new(CoreModel::Ideal, 6).unwrap_err();
         assert_eq!(err, ConfigError::UnsupportedWidth(6));
         assert!(err.to_string().contains("width 6"));
-        // Modifiers on a doomed builder stay inert.
-        let err = MachineConfig::builder(CoreModel::RbFull, 0)
-            .datapath(DatapathMode::Faithful)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ConfigError::UnsupportedWidth(0));
-    }
-
-    #[test]
-    fn builder_matches_preset_chain_and_hash() {
-        let built = MachineConfig::builder(CoreModel::RbLimited, 8)
-            .datapath(DatapathMode::Faithful)
-            .steering(SteeringPolicy::DependenceAware)
-            .max_cycles(500)
-            .build()
-            .expect("valid width");
-        let mut chained = MachineConfig::rb_limited(8)
-            .with_datapath(DatapathMode::Faithful)
-            .with_steering(SteeringPolicy::DependenceAware);
-        chained.max_cycles = 500;
-        assert_eq!(built, chained);
-        assert_eq!(built.canonical_hash(), chained.canonical_hash());
-    }
-
-    #[test]
-    fn builder_carries_the_unsound_escape_hatch() {
-        let cfg = MachineConfig::builder(CoreModel::RbLimited, 4)
-            .rb_rf_only()
-            .bypass(BypassLevels::without(&[3]))
-            .build()
-            .expect("structurally fine; soundness is the analyzer's job");
-        assert!(cfg.rb_rf_only);
+        assert_eq!(
+            MachineConfig::try_new(CoreModel::RbFull, 0),
+            Err(ConfigError::UnsupportedWidth(0))
+        );
+        assert_eq!(
+            MachineConfig::try_new(CoreModel::RbLimited, 8),
+            Ok(MachineConfig::rb_limited(8))
+        );
     }
 
     #[test]

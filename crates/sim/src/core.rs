@@ -182,7 +182,6 @@ pub struct Simulator {
     fast_forwarded: u64,
     /// Run the retained scan-everything reference scheduler instead of the
     /// event-driven one; the differential suite locksteps the two.
-    #[cfg(any(test, feature = "reference-sched"))]
     reference_sched: bool,
 }
 
@@ -219,7 +218,6 @@ impl Simulator {
             steer_counter: 0,
             window_blocked: false,
             fast_forwarded: 0,
-            #[cfg(any(test, feature = "reference-sched"))]
             reference_sched: false,
         }
     }
@@ -229,24 +227,9 @@ impl Simulator {
     /// wakeup replaced. The two produce bit-identical results (pinned by
     /// the differential suite and the golden snapshots); the reference
     /// exists only as the behavioral spec to test against.
-    #[cfg(any(test, feature = "reference-sched"))]
     pub fn with_reference_scheduler(mut self) -> Self {
         self.reference_sched = true;
         self
-    }
-
-    /// Whether the reference scheduler drives this run (always false when
-    /// the `reference-sched` feature is compiled out).
-    #[inline]
-    fn is_reference(&self) -> bool {
-        #[cfg(any(test, feature = "reference-sched"))]
-        {
-            self.reference_sched
-        }
-        #[cfg(not(any(test, feature = "reference-sched")))]
-        {
-            false
-        }
     }
 
     /// Runs to completion and returns both statistics and the pipeline
@@ -323,7 +306,7 @@ impl Simulator {
             {
                 return Ok(());
             }
-            if work == 0 && !self.is_reference() {
+            if work == 0 && !self.reference_sched {
                 self.fast_forward(obs);
             }
         }
@@ -681,7 +664,7 @@ impl Simulator {
             debug_assert_eq!(self.base_seq + self.ring.len() as u64, d.seq);
             self.ring.push_back(entry);
             self.waiting[scheduler].push_back(d.seq);
-            if wait_count == 0 && !self.is_reference() {
+            if wait_count == 0 && !self.reference_sched {
                 self.insert_candidate(scheduler, d.seq);
             }
             if op.is_store() && data_reg.is_some() {
@@ -800,8 +783,7 @@ impl Simulator {
     fn issue<O: SimObserver>(&mut self, obs: &mut O) -> usize {
         // Resolve pending store data lazily each cycle.
         self.resolve_pending_stores();
-        #[cfg(any(test, feature = "reference-sched"))]
-        if self.is_reference() {
+        if self.reference_sched {
             return self.issue_reference(obs);
         }
         self.issue_event(obs)
@@ -1005,7 +987,7 @@ impl Simulator {
         let Some(cm) = self.entry_mut(cseq) else { return };
         cm.min_ready = cm.min_ready.max(floor);
         cm.wait_count = cm.wait_count.saturating_sub(1);
-        if cm.wait_count == 0 && !self.is_reference() {
+        if cm.wait_count == 0 && !self.reference_sched {
             self.insert_candidate(scheduler, cseq);
         }
     }
@@ -1013,10 +995,7 @@ impl Simulator {
     /// The retained reference scheduler: scan every waiting entry, oldest
     /// first, with eager `VecDeque::remove`. This is the behavioral spec
     /// the event-driven scheduler is differentially tested against (see
-    /// [`with_reference_scheduler`](Self::with_reference_scheduler));
-    /// compiled out of production builds unless the `reference-sched`
-    /// feature is enabled.
-    #[cfg(any(test, feature = "reference-sched"))]
+    /// [`with_reference_scheduler`](Self::with_reference_scheduler)).
     fn issue_reference<O: SimObserver>(&mut self, obs: &mut O) -> usize {
         let e = self.cycle + self.cfg.sched_to_exec;
         let mut issued_count = 0usize;

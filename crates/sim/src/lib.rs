@@ -57,8 +57,7 @@ pub mod stats;
 pub mod trace;
 
 pub use config::{
-    BypassLevels, ConfigError, CoreModel, DatapathMode, MachineConfig, MachineConfigBuilder,
-    SteeringPolicy,
+    BypassLevels, ConfigError, CoreModel, DatapathMode, MachineConfig, SteeringPolicy,
 };
 pub use core::Simulator;
 pub use observer::{

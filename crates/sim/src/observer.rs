@@ -12,7 +12,7 @@
 //!   diagrams that `run_traced` returns;
 //! - telemetry — [`TelemetryObserver`] samples wall-clock phase timers
 //!   with the monotonic clock and flushes a
-//!   [`MetricsRegistry`](redbin_telemetry::MetricsRegistry).
+//!   [`MetricsRegistry`].
 //!
 //! Hooks are `&mut self` methods with empty default bodies, so the
 //! [`NoopObserver`] compiles away entirely — a plain `run()` pays nothing.

@@ -8,7 +8,7 @@
 //!   property-test harness. The property suites (`crates/*/tests/`) draw
 //!   their inputs from it instead of `proptest`. Failures print the case
 //!   seed; re-running with [`cases_from`] reproduces a single case.
-//! * [`bench`] — a wall-clock micro-benchmark timer with median/min
+//! * [`mod@bench`] — a wall-clock micro-benchmark timer with median/min
 //!   reporting, standing in for `criterion` in `crates/bench/benches/`.
 //!
 //! Everything here is deterministic: the same seed always produces the

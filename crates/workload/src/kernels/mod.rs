@@ -9,48 +9,24 @@
 pub mod spec2000;
 pub mod spec95;
 
-/// A deterministic 64-bit generator (SplitMix64) used to synthesize kernel
-/// input data. Not cryptographic; chosen for stability across toolchains.
-#[derive(Debug, Clone)]
-pub struct SplitMix64 {
-    state: u64,
-}
+use redbin_testkit::Rng;
 
-impl SplitMix64 {
-    /// Creates a generator from a seed.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64 { state: seed }
-    }
-
-    /// The next 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// A value uniform in `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0`.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        self.next_u64() % bound
-    }
+/// A value in `[0, bound)` by modulo reduction — kept, rather than
+/// [`Rng::range_u64`]'s multiply-shift, because every kernel's input data
+/// was generated this way.
+pub(crate) fn below(rng: &mut Rng, bound: u64) -> u64 {
+    rng.next_u64() % bound
 }
 
 /// Builds a random permutation cycle over `n` slots: following
 /// `perm[perm[...]]` visits every slot exactly once before returning to the
 /// start. Used for worst-case pointer-chasing working sets (`mcf`, `li`).
 pub fn permutation_cycle(n: usize, seed: u64) -> Vec<u64> {
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = Rng::new(seed);
     let mut order: Vec<usize> = (0..n).collect();
     // Fisher–Yates.
     for i in (1..n).rev() {
-        let j = rng.below(i as u64 + 1) as usize;
+        let j = below(&mut rng, i as u64 + 1) as usize;
         order.swap(i, j);
     }
     let mut next = vec![0u64; n];
@@ -64,14 +40,14 @@ pub fn permutation_cycle(n: usize, seed: u64) -> Vec<u64> {
 /// of bytes repeat a short earlier window (compressible text-like data for
 /// `compress`/`gzip`).
 pub fn text_like_bytes(len: usize, rep_pct: u64, seed: u64) -> Vec<u8> {
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = Rng::new(seed);
     let mut out = Vec::with_capacity(len);
     for i in 0..len {
-        if i > 64 && rng.below(100) < rep_pct {
-            let back = 1 + rng.below(63) as usize;
+        if i > 64 && below(&mut rng, 100) < rep_pct {
+            let back = 1 + below(&mut rng, 63) as usize;
             out.push(out[i - back]);
         } else {
-            out.push((rng.below(26) + b'a' as u64) as u8);
+            out.push((below(&mut rng, 26) + b'a' as u64) as u8);
         }
     }
     out
@@ -82,19 +58,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn splitmix_is_deterministic() {
-        let mut a = SplitMix64::new(42);
-        let mut b = SplitMix64::new(42);
-        for _ in 0..10 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
     fn below_respects_bound() {
-        let mut r = SplitMix64::new(7);
+        let mut r = Rng::new(7);
         for _ in 0..1000 {
-            assert!(r.below(13) < 13);
+            assert!(below(&mut r, 13) < 13);
         }
     }
 

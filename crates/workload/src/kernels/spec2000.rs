@@ -3,10 +3,11 @@
 //! vortex, vpr.
 
 use redbin_isa::{Opcode, Program, Reg};
+use redbin_testkit::Rng;
 
 use crate::asm::Asm;
 use crate::kernels::spec95::{gcc_like, perl_like, vortex_like};
-use crate::kernels::{permutation_cycle, text_like_bytes, SplitMix64};
+use crate::kernels::{below, permutation_cycle, text_like_bytes};
 
 const SRC: u64 = 0x10_0000;
 const TAB: u64 = 0x80_0000;
@@ -24,8 +25,8 @@ pub fn bzip2(units: u64) -> Program {
     // Eight shell-sort passes cost ~16 dynamic instructions per element
     // each, so derive the element count from the unit budget.
     let n = (units.max(4096) / 128).max(32);
-    let mut rng = SplitMix64::new(0xB21);
-    let data: Vec<u64> = (0..n).map(|_| rng.below(1 << 24)).collect();
+    let mut rng = Rng::new(0xB21);
+    let data: Vec<u64> = (0..n).map(|_| below(&mut rng, 1 << 24)).collect();
     let gaps: [u64; 8] = [701, 301, 132, 57, 23, 10, 4, 1];
     let mut a = Asm::new("bzip2");
     a.data_u64(SRC, &data);
@@ -76,7 +77,7 @@ pub fn bzip2(units: u64) -> Program {
 /// machine's TC-only (logical) side, where redundant adders cannot help.
 pub fn crafty(units: u64) -> Program {
     let boards = 128u64;
-    let mut rng = SplitMix64::new(0xCAF7);
+    let mut rng = Rng::new(0xCAF7);
     let b1: Vec<u64> = (0..boards).map(|_| rng.next_u64()).collect();
     let b2: Vec<u64> = (0..boards).map(|_| rng.next_u64()).collect();
     let mut a = Asm::new("crafty");
@@ -132,9 +133,9 @@ pub fn crafty(units: u64) -> Program {
 /// adders.
 pub fn eon(units: u64) -> Program {
     let n = 256u64;
-    let mut rng = SplitMix64::new(0xE0);
+    let mut rng = Rng::new(0xE0);
     let floats: Vec<u64> = (0..n * 3)
-        .map(|_| (1.0 + (rng.below(1000) as f64) / 500.0).to_bits())
+        .map(|_| (1.0 + (below(&mut rng, 1000) as f64) / 500.0).to_bits())
         .collect();
     let mut a = Asm::new("eon");
     a.data_u64(SRC, &floats);
@@ -184,7 +185,7 @@ pub fn eon(units: u64) -> Program {
 pub fn gap(units: u64) -> Program {
     let numbers = 256u64;
     let limbs = 8u64;
-    let mut rng = SplitMix64::new(0x6A9);
+    let mut rng = Rng::new(0x6A9);
     let a_img: Vec<u64> = (0..numbers * limbs).map(|_| rng.next_u64()).collect();
     let b_img: Vec<u64> = (0..numbers * limbs).map(|_| rng.next_u64()).collect();
     let mut a = Asm::new("gap");
@@ -306,14 +307,14 @@ pub fn mcf(units: u64) -> Program {
     // dependent-load latency, keeping this by far the lowest-IPC proxy.
     let nodes = 4096usize;
     let next = permutation_cycle(nodes, 0x3CF);
-    let mut rng = SplitMix64::new(0x3CF2);
+    let mut rng = Rng::new(0x3CF2);
     let mut image = Vec::with_capacity(nodes * 64);
     for nx in next.iter().take(nodes) {
         image.extend_from_slice(&(TAB + nx * 64).to_le_bytes()); // next ptr
         // Most reduced costs are positive; ~12% are negative candidates.
-        let cost = rng.below(1000) as i64 - 120;
+        let cost = below(&mut rng, 1000) as i64 - 120;
         image.extend_from_slice(&(cost as u64).to_le_bytes()); // cost
-        image.extend_from_slice(&rng.below(100).to_le_bytes()); // flow
+        image.extend_from_slice(&below(&mut rng, 100).to_le_bytes()); // flow
         for _ in 0..5 {
             image.extend_from_slice(&0u64.to_le_bytes()); // pad to 64 B
         }
@@ -344,7 +345,7 @@ pub fn mcf(units: u64) -> Program {
 /// hard-to-predict compare branches.
 pub fn parser(units: u64) -> Program {
     let dict = 8192u64;
-    let mut rng = SplitMix64::new(0x9A45);
+    let mut rng = Rng::new(0x9A45);
     let mut keys: Vec<u64> = (0..dict).map(|_| rng.next_u64() >> 16).collect();
     keys.sort_unstable();
     let mut a = Asm::new("parser");
@@ -406,13 +407,13 @@ pub fn perlbmk(units: u64) -> Program {
 /// that defeat the predictor.
 pub fn twolf(units: u64) -> Program {
     let cells = 4096u64;
-    let mut rng = SplitMix64::new(0x2C01F);
+    let mut rng = Rng::new(0x2C01F);
     // Cell: [x, y, cost, pad] quadwords.
     let mut image = Vec::with_capacity((cells * 32) as usize);
     for _ in 0..cells {
-        image.extend_from_slice(&rng.below(1000).to_le_bytes());
-        image.extend_from_slice(&rng.below(1000).to_le_bytes());
-        image.extend_from_slice(&rng.below(2000).to_le_bytes());
+        image.extend_from_slice(&below(&mut rng, 1000).to_le_bytes());
+        image.extend_from_slice(&below(&mut rng, 1000).to_le_bytes());
+        image.extend_from_slice(&below(&mut rng, 2000).to_le_bytes());
         image.extend_from_slice(&0u64.to_le_bytes());
     }
     let mut a = Asm::new("twolf");
@@ -469,8 +470,8 @@ pub fn vortex2k(units: u64) -> Program {
 /// min reduction) and relaxes costs as it goes.
 pub fn vpr(units: u64) -> Program {
     let dim = 128u64; // 128×128 grid of quadword costs
-    let mut rng = SplitMix64::new(0x7492);
-    let grid: Vec<u64> = (0..dim * dim).map(|_| rng.below(10_000) + 1).collect();
+    let mut rng = Rng::new(0x7492);
+    let grid: Vec<u64> = (0..dim * dim).map(|_| below(&mut rng, 10_000) + 1).collect();
     let mut a = Asm::new("vpr");
     a.data_u64(TAB, &grid);
     a.init_reg(r(1), TAB);

@@ -2,9 +2,10 @@
 //! compress, gcc, go, ijpeg, li, m88ksim, perl, vortex.
 
 use redbin_isa::{Opcode, Program, Reg};
+use redbin_testkit::Rng;
 
 use crate::asm::Asm;
-use crate::kernels::{permutation_cycle, text_like_bytes, SplitMix64};
+use crate::kernels::{below, permutation_cycle, text_like_bytes};
 
 const SRC: u64 = 0x10_0000;
 const TAB: u64 = 0x20_0000;
@@ -59,16 +60,20 @@ pub fn compress(units: u64) -> Program {
 /// dereferences into a table that misses the L1.
 pub fn gcc_like(name: &str, units: u64, nodes: u64, seed: u64) -> Program {
     let nodes = nodes.max(64);
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = Rng::new(seed);
     // Node: [type, val, child-index, pad] × 8 bytes. Types run in
     // correlated phases (65% repeat), like the IR of real functions.
     let mut image = Vec::with_capacity((nodes * 32) as usize);
     let mut prev_ty = 0u64;
     for _ in 0..nodes {
-        let ty = if rng.below(100) < 65 { prev_ty } else { rng.below(5) };
+        let ty = if below(&mut rng, 100) < 65 {
+            prev_ty
+        } else {
+            below(&mut rng, 5)
+        };
         prev_ty = ty;
         let val = rng.next_u64() & 0xffff;
-        let child = rng.below(nodes);
+        let child = below(&mut rng, nodes);
         image.extend_from_slice(&ty.to_le_bytes());
         image.extend_from_slice(&val.to_le_bytes());
         image.extend_from_slice(&child.to_le_bytes());
@@ -136,8 +141,8 @@ pub fn gcc95(units: u64) -> Program {
 /// `go`: board scanning with neighbour comparisons — very branchy with
 /// poorly predictable outcomes, small working set.
 pub fn go(units: u64) -> Program {
-    let mut rng = SplitMix64::new(0x60_60);
-    let board: Vec<u8> = (0..1024).map(|_| rng.below(3) as u8).collect();
+    let mut rng = Rng::new(0x60_60);
+    let board: Vec<u8> = (0..1024).map(|_| below(&mut rng, 3) as u8).collect();
     let mut a = Asm::new("go");
     a.data_bytes(SRC, board);
     a.init_reg(r(1), SRC);
@@ -182,8 +187,8 @@ pub fn go(units: u64) -> Program {
 /// branches.
 pub fn ijpeg(units: u64) -> Program {
     let blocks = 512u64;
-    let mut rng = SplitMix64::new(0x1337);
-    let coeffs: Vec<u64> = (0..blocks * 8).map(|_| rng.below(1 << 12)).collect();
+    let mut rng = Rng::new(0x1337);
+    let coeffs: Vec<u64> = (0..blocks * 8).map(|_| below(&mut rng, 1 << 12)).collect();
     let mut a = Asm::new("ijpeg");
     a.data_u64(SRC, &coeffs);
     a.init_reg(r(1), SRC);
@@ -284,19 +289,23 @@ pub fn li(units: u64) -> Program {
 /// register array. Indirect-ish control through a predictable dispatcher.
 pub fn m88ksim(units: u64) -> Program {
     let n = 4096u64;
-    let mut rng = SplitMix64::new(0x88);
+    let mut rng = Rng::new(0x88);
     // Opcodes are Markov-correlated (70% repeat the previous one): real
     // instruction streams run in phases, which is what makes the dispatch
     // branches predictable.
     let mut prev_op = 0u64;
     let imem: Vec<u64> = (0..n)
         .map(|_| {
-            let op = if rng.below(10) < 7 { prev_op } else { rng.below(5) };
+            let op = if below(&mut rng, 10) < 7 {
+                prev_op
+            } else {
+                below(&mut rng, 5)
+            };
             prev_op = op;
-            let rs1 = rng.below(16);
-            let rs2 = rng.below(16);
-            let rd = rng.below(16);
-            let imm = rng.below(256);
+            let rs1 = below(&mut rng, 16);
+            let rs2 = below(&mut rng, 16);
+            let rd = below(&mut rng, 16);
+            let imm = below(&mut rng, 256);
             op | (rs1 << 3) | (rs2 << 8) | (rd << 13) | (imm << 18)
         })
         .collect();
@@ -375,11 +384,11 @@ pub fn perl(units: u64) -> Program {
 /// Shared body for `perl` / `perlbmk`.
 pub fn perl_like(name: &str, units: u64, seed: u64, table: u64) -> Program {
     let words = 1024u64;
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = Rng::new(seed);
     let stream: Vec<u64> = (0..words)
         .map(|_| {
             // Draw from a smallish vocabulary so probes hit and miss.
-            let vocab = rng.below(300);
+            let vocab = below(&mut rng, 300);
             vocab.wrapping_mul(0x9E3779B97F4A7C15) | 1
         })
         .collect();
@@ -444,15 +453,15 @@ pub fn vortex(units: u64) -> Program {
 
 /// Shared body for `vortex` / `vortex2k`.
 pub fn vortex_like(name: &str, units: u64, records: u64, seed: u64) -> Program {
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = Rng::new(seed);
     // Record: 64 bytes = 8 quadwords: [id, kind, status, a, b, c, d, link].
     let mut image = Vec::with_capacity((records * 64) as usize);
     for i in 0..records {
         for f in 0..8u64 {
             let v = match f {
                 0 => i,
-                1 => rng.below(4),
-                7 => rng.below(records),
+                1 => below(&mut rng, 4),
+                7 => below(&mut rng, records),
                 _ => rng.next_u64() & 0xffff,
             };
             image.extend_from_slice(&v.to_le_bytes());

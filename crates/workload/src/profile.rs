@@ -4,7 +4,7 @@
 use std::fmt;
 
 use redbin_isa::class::{latency_class, LatencyClass};
-use redbin_isa::format::{table1_row, Table1Counts, Table1Row};
+use redbin_isa::format::{Table1Counts, Table1Row};
 use redbin_isa::{Emulator, Opcode, Program, StepError};
 
 /// A dynamic profile of one program execution.
@@ -153,11 +153,6 @@ impl fmt::Display for Profile {
             self.table1.fraction(Table1Row::Other)
         )
     }
-}
-
-/// Classifies the row for reporting convenience (re-exported for users).
-pub fn row_of(op: Opcode) -> Table1Row {
-    table1_row(op)
 }
 
 #[cfg(test)]

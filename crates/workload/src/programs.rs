@@ -5,14 +5,14 @@
 //! programs with genuine data-dependent behavior: recursion, stencils,
 //! strided marking loops, and a byte-oriented format decoder. Each is an
 //! `.s` file under `crates/workload/programs/`, assembled by
-//! [`text`](crate::text), and paired with a Rust reference implementation
+//! [`text`], and paired with a Rust reference implementation
 //! that predicts the program's final checksum (left in `r9` — see
 //! [`CHECKSUM_REG`]) bit-for-bit. The differential test harness runs the
 //! emulator and both simulator datapaths over every program and compares
 //! the architectural results against these references.
 //!
 //! All randomness comes from the shared MMIX LCG in `programs/fill.s`,
-//! mirrored exactly by [`lcg`]-based reference code here, so assembly and
+//! mirrored exactly by `lcg`-based reference code here, so assembly and
 //! Rust agree without any communication beyond the initial register image.
 
 use redbin_isa::Program;

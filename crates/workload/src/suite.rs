@@ -88,6 +88,15 @@ impl Scale {
             .ok_or_else(|| format!("unknown scale `{name}` (expected test|small|full)"))
     }
 
+    /// The canonical one-byte tag folded into configuration hashes.
+    pub fn canonical_tag(self) -> u8 {
+        match self {
+            Scale::Test => 0,
+            Scale::Small => 1,
+            Scale::Full => 2,
+        }
+    }
+
     fn factor(self) -> u64 {
         match self {
             Scale::Test => 1,

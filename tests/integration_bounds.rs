@@ -61,9 +61,8 @@ fn run_program_stripe(stripe: usize, of: usize) {
         for &model in CoreModel::all() {
             for &width in &REPORT_WIDTHS {
                 let bound = facts.bound_ipc(model, width);
-                let machine = MachineConfig::builder(model, width)
-                    .build()
-                    .unwrap_or_else(|e| panic!("{e}"));
+                let machine =
+                    MachineConfig::try_new(model, width).unwrap_or_else(|e| panic!("{e}"));
                 let ipc = simulated_ipc(machine, prog);
                 assert!(
                     ipc <= bound + EPS,
@@ -164,9 +163,7 @@ fn bound_dominates_every_bypass_ablation() {
             );
             let bound = facts.bound_ipc(model, 8);
             for &bypass in &ablations {
-                let Ok(machine) = MachineConfig::builder(model, 8).bypass(bypass).build() else {
-                    continue;
-                };
+                let machine = MachineConfig::new(model, 8).with_bypass(bypass);
                 // Some ablations are statically unsound on RB models —
                 // those are pruned before simulation everywhere else.
                 if redbin_analyze::bypass::validate_machine(&machine).is_err() {

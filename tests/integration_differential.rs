@@ -8,10 +8,7 @@ use redbin::prelude::*;
 
 fn run(b: Benchmark, mode: DatapathMode) -> SimStats {
     let program = b.program(Scale::Test);
-    let cfg = MachineConfig::builder(CoreModel::RbFull, 8)
-        .datapath(mode)
-        .build()
-        .expect("supported width");
+    let cfg = MachineConfig::rb_full(8).with_datapath(mode);
     Simulator::new(cfg, &program).run().expect("benchmark runs")
 }
 
@@ -38,12 +35,7 @@ fn fast_and_faithful_timing_is_identical_on_every_benchmark() {
 fn fast_and_faithful_agree_on_the_narrow_machine_too() {
     for b in [Benchmark::Go, Benchmark::Gzip, Benchmark::Perlbmk] {
         let program = b.program(Scale::Test);
-        let narrow = |mode| {
-            MachineConfig::builder(CoreModel::RbLimited, 4)
-                .datapath(mode)
-                .build()
-                .expect("supported width")
-        };
+        let narrow = |mode| MachineConfig::rb_limited(4).with_datapath(mode);
         let fast = Simulator::new(narrow(DatapathMode::Fast), &program)
             .run()
             .expect("runs");

@@ -14,10 +14,7 @@ use redbin::prelude::*;
 fn faithful_datapath_agrees_on_all_twenty_benchmarks() {
     for b in Benchmark::all() {
         let program = b.program(Scale::Test);
-        let config = MachineConfig::builder(CoreModel::RbFull, 8)
-            .datapath(DatapathMode::Faithful)
-            .build()
-            .expect("supported width");
+        let config = MachineConfig::rb_full(8).with_datapath(DatapathMode::Faithful);
         let stats = Simulator::new(config, &program)
             .run()
             .unwrap_or_else(|e| panic!("{b:?}: {e}"));
@@ -34,15 +31,11 @@ fn faithful_datapath_agrees_on_all_twenty_benchmarks() {
 fn faithful_mode_does_not_change_timing() {
     // The shadow datapath is an observer: IPC must be identical.
     let program = Benchmark::Gap.program(Scale::Test);
-    let builder = || MachineConfig::builder(CoreModel::RbLimited, 4);
-    let fast = Simulator::new(builder().build().expect("supported width"), &program)
+    let fast = Simulator::new(MachineConfig::rb_limited(4), &program)
         .run()
         .expect("runs");
     let faithful = Simulator::new(
-        builder()
-            .datapath(DatapathMode::Faithful)
-            .build()
-            .expect("supported width"),
+        MachineConfig::rb_limited(4).with_datapath(DatapathMode::Faithful),
         &program,
     )
     .run()
@@ -58,9 +51,7 @@ fn emulator_and_simulator_retire_identical_streams() {
         let program = b.program(Scale::Test);
         let mut emu = Emulator::new(&program);
         let emu_retired = emu.run(50_000_000).expect("halts");
-        let config = MachineConfig::builder(CoreModel::Baseline, 4)
-            .build()
-            .expect("supported width");
+        let config = MachineConfig::baseline(4);
         let stats = Simulator::new(config, &program).run().expect("runs");
         // The emulator counts the Halt; the simulator does not retire it.
         assert_eq!(stats.retired, emu_retired - 1, "{b:?}");

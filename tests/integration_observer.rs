@@ -12,18 +12,12 @@ use redbin::prelude::*;
 use redbin::sim::stats::BypassCase;
 use redbin::sim::{NoopObserver, Stage, StatsObserver, TelemetryObserver};
 
-fn config(model: CoreModel, width: usize) -> MachineConfig {
-    MachineConfig::builder(model, width)
-        .build()
-        .expect("supported width")
-}
-
 #[test]
 fn noop_observer_is_bit_identical_to_plain_run() {
     for b in [Benchmark::Go, Benchmark::Perl, Benchmark::Mcf] {
         let program = b.program(Scale::Test);
         for &model in CoreModel::all() {
-            let cfg = config(model, 8);
+            let cfg = MachineConfig::new(model, 8);
             let plain = Simulator::new(cfg.clone(), &program)
                 .run()
                 .expect("runs");
@@ -41,7 +35,7 @@ fn noop_observer_is_bit_identical_to_plain_run() {
 fn stats_observer_rederives_the_hardwired_counters() {
     for b in [Benchmark::Gap, Benchmark::Gzip] {
         let program = b.program(Scale::Test);
-        let cfg = config(CoreModel::RbLimited, 8);
+        let cfg = MachineConfig::rb_limited(8);
         let mut obs = StatsObserver::default();
         let stats = Simulator::new(cfg, &program)
             .run_observed(&mut obs)
@@ -97,7 +91,7 @@ fn stats_observer_rederives_the_hardwired_counters() {
 fn telemetry_registry_round_trips_through_json() {
     let program = Benchmark::Perlbmk.program(Scale::Test);
     let mut obs = TelemetryObserver::new();
-    let stats = Simulator::new(config(CoreModel::RbFull, 8), &program)
+    let stats = Simulator::new(MachineConfig::rb_full(8), &program)
         .run_observed(&mut obs)
         .expect("runs");
     let reg = obs.into_registry();

@@ -6,9 +6,8 @@ use redbin::sim::stats::harmonic_mean;
 
 fn ipc(model: CoreModel, width: usize, b: Benchmark, scale: Scale) -> f64 {
     let program = b.program(scale);
-    let config = MachineConfig::builder(model, width)
-        .build()
-        .unwrap_or_else(|e| panic!("{model} w{width}: {e}"));
+    let config =
+        MachineConfig::try_new(model, width).unwrap_or_else(|e| panic!("{model} w{width}: {e}"));
     Simulator::new(config, &program)
         .run()
         .unwrap_or_else(|e| panic!("{b:?} on {model}: {e}"))
@@ -69,10 +68,7 @@ fn removing_first_level_bypass_hurts_most() {
     // Figure 14's key shape on one add-latency-critical kernel.
     let program = Benchmark::Gap.program(Scale::Small);
     let run = |levels: BypassLevels| {
-        let config = MachineConfig::builder(CoreModel::Ideal, 4)
-            .bypass(levels)
-            .build()
-            .expect("supported width");
+        let config = MachineConfig::ideal(4).with_bypass(levels);
         Simulator::new(config, &program).run().expect("runs").ipc()
     };
     let full = run(BypassLevels::FULL);
@@ -124,9 +120,7 @@ fn fp_bound_kernels_are_insensitive_to_adders() {
 #[test]
 fn stats_are_internally_consistent() {
     let program = Benchmark::Perl.program(Scale::Small);
-    let config = MachineConfig::builder(CoreModel::RbFull, 8)
-        .build()
-        .expect("supported width");
+    let config = MachineConfig::rb_full(8);
     let stats = Simulator::new(config, &program).run().expect("runs");
     assert_eq!(stats.table1.total(), stats.retired);
     assert!(stats.cycles > 0);

@@ -62,9 +62,7 @@ fn schedulers_agree_on_every_model_and_width() {
         let program = b.program(Scale::Test);
         for &model in CoreModel::all() {
             for width in [4usize, 8] {
-                let cfg = MachineConfig::builder(model, width)
-                    .build()
-                    .expect("supported width");
+                let cfg = MachineConfig::new(model, width);
                 let stats =
                     assert_schedulers_agree(&cfg, &program, &format!("{b:?} {model} w{width}"));
                 assert!(stats.retired > 0, "{b:?} {model} w{width}: nothing retired");
