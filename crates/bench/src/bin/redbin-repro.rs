@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! redbin-repro <COMMAND> [--scale test|small|full] [--json PATH]
-//!              [--server HOST:PORT] [--profile]
+//!              [--server HOST:PORT] [--profile PATH]
 //! ```
 //!
 //! where `COMMAND` is one of `figure9`–`figure14`, `table1`, `table3`,
@@ -13,7 +13,7 @@ fn main() {
     let Some((command, rest)) = argv.split_first() else {
         eprintln!(
             "usage: redbin-repro <{}> [--scale test|small|full] [--json PATH] \
-             [--server HOST:PORT] [--profile]",
+             [--server HOST:PORT] [--profile PATH]",
             redbin_bench::repro::COMMANDS.join("|")
         );
         std::process::exit(2);

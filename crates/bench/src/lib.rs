@@ -8,8 +8,10 @@
 //! * `--server HOST:PORT` (or `REDBIN_SERVER`) — client mode: `redbin-repro
 //!   all` submits its experiments to a running `redbin-served` instead of
 //!   simulating locally;
-//! * `--profile` — `redbin-repro all` only: also write a `BENCH_5.json`
-//!   throughput profile (wall-clock, sims/sec, instrs/sec per figure);
+//! * `--profile PATH` — `redbin-repro all` only: also write the throughput
+//!   profile (wall-clock, sims/sec, instrs/sec per figure) to `PATH`. The
+//!   path is required, so no run can overwrite the committed `BENCH_5.json`
+//!   baseline by accident;
 //! * `--seeds N` / `--start-seed S` — `redbin-repro fuzz` only: run the
 //!   torture seeds `S..S+N` through the differential oracle;
 //! * `--verify-static` — `redbin-repro fuzz` only: run every torture
@@ -35,8 +37,8 @@ pub struct BenchArgs {
     pub json: Option<std::path::PathBuf>,
     /// `redbin-served` address for client mode, if requested.
     pub server: Option<String>,
-    /// Whether to write the `BENCH_5.json` throughput profile.
-    pub profile: bool,
+    /// Where to write the throughput profile, if requested.
+    pub profile: Option<std::path::PathBuf>,
     /// `redbin-repro fuzz`: how many torture seeds to run.
     pub seeds: Option<u64>,
     /// `redbin-repro fuzz`: the first torture seed of the range.
@@ -81,12 +83,7 @@ pub fn parse_cli(args: &[String]) -> Result<BenchArgs, String> {
             "--scale" => out.scale = Some(Scale::from_name(&value(&mut it)?)?),
             "--json" => out.json = Some(std::path::PathBuf::from(value(&mut it)?)),
             "--server" => out.server = Some(value(&mut it)?),
-            "--profile" => {
-                if inline.is_some() {
-                    return Err("--profile takes no value".to_string());
-                }
-                out.profile = true;
-            }
+            "--profile" => out.profile = Some(std::path::PathBuf::from(value(&mut it)?)),
             "--seeds" => out.seeds = Some(parse_u64(flag, &value(&mut it)?)?),
             "--start-seed" => out.start_seed = Some(parse_u64(flag, &value(&mut it)?)?),
             "--verify-static" => {
@@ -232,12 +229,21 @@ mod tests {
     }
 
     #[test]
-    fn profile_flag_parses_and_takes_no_value() {
-        let a = parse_cli(&argv(&["--profile", "--scale", "test"])).unwrap();
-        assert!(a.profile);
+    fn profile_flag_takes_the_output_path() {
+        let a = parse_cli(&argv(&["--profile", "fresh.json", "--scale", "test"])).unwrap();
+        assert_eq!(
+            a.profile.as_deref(),
+            Some(std::path::Path::new("fresh.json"))
+        );
         assert_eq!(a.scale, Some(Scale::Test));
-        assert!(!parse_cli(&[]).unwrap().profile);
-        assert!(parse_cli(&argv(&["--profile=yes"])).is_err());
+        let b = parse_cli(&argv(&["--profile=out/p.json"])).unwrap();
+        assert_eq!(
+            b.profile.as_deref(),
+            Some(std::path::Path::new("out/p.json"))
+        );
+        assert_eq!(parse_cli(&[]).unwrap().profile, None);
+        let e = parse_cli(&argv(&["--profile"])).unwrap_err();
+        assert!(e.contains("--profile needs a value"), "{e}");
     }
 
     #[test]

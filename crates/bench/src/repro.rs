@@ -5,12 +5,14 @@
 //!              [--scale S] [--json PATH]
 //! redbin-repro table1|table3|delays|ablations|programs [--scale S] [--json PATH]
 //! redbin-repro fuzz [--seeds N] [--start-seed S] [--verify-static] [--json PATH]
-//! redbin-repro all [--scale S] [--json PATH] [--server HOST:PORT] [--profile]
+//! redbin-repro all [--scale S] [--json PATH] [--server HOST:PORT] [--profile PATH]
 //! ```
 //!
-//! `all --profile` additionally writes `BENCH_5.json`: per-experiment
-//! wall-clock, simulation counts, and throughput (simulations/second and
-//! simulated instructions/second), plus whole-run totals.
+//! `all --profile PATH` additionally writes a throughput profile to `PATH`:
+//! per-experiment wall-clock, simulation counts, and throughput
+//! (simulations/second and simulated instructions/second), plus whole-run
+//! totals. The committed `BENCH_5.json` is one such profile, the baseline
+//! CI's perf gate compares a fresh one against.
 
 use redbin::experiments;
 use redbin::json::{self, Json};
@@ -343,7 +345,7 @@ fn verify_torture_seed(seed: u64) {
     std::process::exit(1);
 }
 
-/// One `BENCH_5.json` line: what an experiment cost and delivered.
+/// One throughput-profile line: what an experiment cost and delivered.
 struct ProfileRow {
     name: &'static str,
     wall_seconds: f64,
@@ -371,7 +373,7 @@ impl ProfileRow {
 /// thin client against `redbin-served`.
 fn run_all(args: &BenchArgs) {
     if let Some(addr) = args.server.clone() {
-        if args.profile {
+        if args.profile.is_some() {
             eprintln!("warning: --profile measures local simulation; ignored with --server");
         }
         run_all_remote(&addr, args);
@@ -408,15 +410,19 @@ fn run_all(args: &BenchArgs) {
     }
 
     crate::emit_json(args, "all", run_started, Some(instructions), manifest);
-    if args.profile {
-        write_profile(args, run_started, &profile);
+    if let Some(path) = &args.profile {
+        write_profile(path, args, run_started, &profile);
     }
 }
 
-/// Writes `BENCH_5.json` beside the working directory: the per-experiment
-/// and whole-run throughput profile of an `all --profile` run.
-fn write_profile(args: &BenchArgs, run_started: Clock, rows: &[ProfileRow]) {
-    let path = std::path::Path::new("BENCH_5.json");
+/// Writes the per-experiment and whole-run throughput profile of an
+/// `all --profile PATH` run to `path`.
+fn write_profile(
+    path: &std::path::Path,
+    args: &BenchArgs,
+    run_started: Clock,
+    rows: &[ProfileRow],
+) {
     let mut experiments = Json::object();
     for row in rows {
         experiments.set(row.name, row.to_json());

@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use redbin::experiments;
+use redbin::experiments::{self, ExperimentConfig};
 use redbin::json::Json;
 use redbin::pool::run_jobs;
 use redbin::wire::JobSpec;
@@ -23,8 +23,9 @@ use redbin_serve::Client;
 pub enum Backend {
     /// In-process worker pool.
     Local {
-        /// Worker threads for the fan-out (0 = one per spec, capped by
-        /// the pool itself).
+        /// Worker threads for the fan-out (0 = the experiment default,
+        /// [`ExperimentConfig::default`]'s `threads`: the host's
+        /// parallelism, at most 16).
         threads: usize,
         /// Use the O(n²) reference scheduler instead of the event-driven
         /// one (they are bit-identical; this exists to prove it).
@@ -68,10 +69,14 @@ pub fn run_specs(backend: &Backend, specs: &[JobSpec]) -> Result<Vec<SimOutcome>
 }
 
 fn run_local(specs: &[JobSpec], threads: usize, reference: bool) -> Result<Vec<SimOutcome>, String> {
-    let threads = if threads == 0 { specs.len() } else { threads };
+    let threads = if threads == 0 {
+        ExperimentConfig::default().threads
+    } else {
+        threads
+    };
     // One pool across points; each point simulates its benchmarks
     // serially (inner threads = 1) so parallelism comes from the grid.
-    run_jobs(specs.len(), threads.max(1), |i| {
+    run_jobs(specs.len(), threads, |i| {
         let spec = &specs[i];
         let machine = spec
             .machine_configs()

@@ -12,9 +12,12 @@
 //!    reachability proof (`redbin_analyze::bypass`) *before* any
 //!    simulation; unsound points are rejected with per-reason counts.
 //! 3. **Simulate** — surviving points deduplicate onto content-addressed
-//!    [`JobSpec`]s (the delay axis never affects
-//!    simulated IPC) and fan out through a local worker pool or a
-//!    running `redbin-served` instance, where re-runs hit the cache.
+//!    [`JobSpec`]s (the delay axis never affects simulated IPC), and specs
+//!    whose machines share a timing class
+//!    ([`MachineConfig::timing_class`](redbin::sim::MachineConfig::timing_class))
+//!    share one simulation: only each class's first spec fans out, through
+//!    a local worker pool or a running `redbin-served` instance, where
+//!    re-runs hit the cache.
 //! 4. **Frontier** — the Pareto frontier of harmonic-mean IPC versus
 //!    adder critical-path delay, reported as JSON, an ASCII table, and
 //!    telemetry counters.
@@ -30,12 +33,12 @@ pub mod pareto;
 pub mod prune;
 pub mod report;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use redbin::telemetry::MetricsRegistry;
 use redbin::wire::JobSpec;
 
-use backend::{Backend, SimOutcome};
+use backend::Backend;
 use delay::adder_delay;
 use grid::{GridPoint, GridSpec};
 use pareto::Candidate;
@@ -46,7 +49,8 @@ use prune::PruneReport;
 pub struct EvaluatedPoint {
     /// The grid point.
     pub point: GridPoint,
-    /// The content-addressed id of the simulation that produced `ipc`.
+    /// The content-addressed id of this point's own job. Its `ipc` comes
+    /// from the first job of its timing class, which may be another id.
     pub job_id: String,
     /// Harmonic-mean IPC over the grid's benchmark suite.
     pub ipc: f64,
@@ -72,9 +76,10 @@ pub struct ExploreOutcome {
     /// Indices into `evaluated` on the Pareto frontier, sorted by delay
     /// ascending.
     pub frontier: Vec<usize>,
-    /// How many distinct simulations the sound points collapsed onto.
+    /// How many distinct job ids the sound points collapsed onto.
     pub unique_sims: usize,
-    /// How many of those simulations a server answered from cache.
+    /// How many of the simulated specs (one per timing class, counted by
+    /// the `explore.sims.run` metric) a server answered from cache.
     pub cache_hits: u64,
     /// Deterministic counters and histograms for the run. No wall-clock
     /// metrics on purpose: the outcome document must be byte-stable.
@@ -101,21 +106,26 @@ pub fn explore(grid: &GridSpec, backend: &Backend) -> Result<ExploreOutcome, Str
     metrics.add("explore.points.pruned", pruned.pruned.len() as u64);
     metrics.add("explore.points.sound", pruned.sound.len() as u64);
 
-    // Deduplicate sound points onto content-addressed specs: points that
-    // differ only in delay model share one simulation.
-    let mut spec_index: BTreeMap<String, usize> = BTreeMap::new();
+    // Points that differ only in delay model share a job id; jobs whose
+    // machines share a timing class share a simulation. Only each class's
+    // first spec in enumeration order runs, and every point keeps its own
+    // job id but takes its class's result.
+    let mut job_ids: BTreeSet<String> = BTreeSet::new();
+    let mut class_index: BTreeMap<u64, usize> = BTreeMap::new();
     let mut specs: Vec<JobSpec> = Vec::new();
-    let mut point_spec: Vec<usize> = Vec::with_capacity(pruned.sound.len());
+    let mut point_jobs: Vec<(String, usize)> = Vec::with_capacity(pruned.sound.len());
     for p in &pruned.sound {
         let spec = p.job_spec(grid.suite, grid.scale);
         let id = spec.job_id();
-        let idx = *spec_index.entry(id).or_insert_with(|| {
+        job_ids.insert(id.clone());
+        let class = p.machine()?.timing_class().canonical_hash();
+        let idx = *class_index.entry(class).or_insert_with(|| {
             specs.push(spec);
             specs.len() - 1
         });
-        point_spec.push(idx);
+        point_jobs.push((id, idx));
     }
-    metrics.add("explore.sims.unique", specs.len() as u64);
+    metrics.add("explore.sims.unique", job_ids.len() as u64);
 
     // The dataflow limit depends only on (model, width): one trace of
     // the suite serves every point, and the per-point query is O(1).
@@ -129,21 +139,14 @@ pub fn explore(grid: &GridSpec, backend: &Backend) -> Result<ExploreOutcome, Str
     let evaluated: Vec<EvaluatedPoint> = pruned
         .sound
         .iter()
-        .zip(&point_spec)
-        .map(|(&point, &si)| {
-            let SimOutcome {
-                ref job_id,
-                hmean,
-                cache_hit,
-            } = outcomes[si];
-            EvaluatedPoint {
-                point,
-                job_id: job_id.clone(),
-                ipc: hmean,
-                bound_ipc: suite_bounds.bound_ipc(point.model, point.width),
-                delay: adder_delay(point.model, point.delay),
-                cache_hit,
-            }
+        .zip(point_jobs)
+        .map(|(&point, (job_id, class))| EvaluatedPoint {
+            point,
+            job_id,
+            ipc: outcomes[class].hmean,
+            bound_ipc: suite_bounds.bound_ipc(point.model, point.width),
+            delay: adder_delay(point.model, point.delay),
+            cache_hit: outcomes[class].cache_hit,
         })
         .collect();
     for ep in &evaluated {
@@ -167,7 +170,7 @@ pub fn explore(grid: &GridSpec, backend: &Backend) -> Result<ExploreOutcome, Str
         prune: pruned,
         evaluated,
         frontier,
-        unique_sims: specs.len(),
+        unique_sims: job_ids.len(),
         cache_hits,
         metrics,
     })

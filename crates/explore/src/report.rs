@@ -80,11 +80,12 @@ pub fn render_text(out: &ExploreOutcome) -> String {
     let _ = writeln!(s, "Design-space exploration: IPC vs adder delay");
     let _ = writeln!(
         s,
-        "enumerated {}  pruned {}  sound {}  unique sims {}  cache hits {}",
+        "enumerated {}  pruned {}  sound {}  unique sims {}  simulated {}  cache hits {}",
         out.prune.total(),
         out.prune.pruned.len(),
         out.prune.sound.len(),
         out.unique_sims,
+        out.metrics.counter("explore.sims.run"),
         out.cache_hits,
     );
     if !out.prune.reasons.is_empty() {

@@ -198,11 +198,13 @@ pub enum SteeringPolicy {
     /// Groups of two consecutive instructions, round-robin across
     /// schedulers — the paper's configuration (§5.1).
     RoundRobinPairs,
-    /// Steer each instruction to the scheduler of its most recent in-flight
-    /// producer when that scheduler has a free entry (falling back to
-    /// round-robin). This is the paper's §4.2 future-work direction:
-    /// keeping consumers next to producers makes limited bypass networks
-    /// and clustered forwarding cheaper.
+    /// Steer each instruction to the *cluster* of its youngest in-flight
+    /// producer, picking the scheduler there with the most free entries
+    /// (falling back to round-robin when that cluster is full or no
+    /// producer is in flight). On a single-cluster machine this is exactly
+    /// round-robin. This is the paper's §4.2 future-work direction:
+    /// keeping consumers next to producers makes clustered forwarding
+    /// cheaper.
     DependenceAware,
 }
 
@@ -563,6 +565,33 @@ impl MachineConfig {
         let mut h = Fnv64::new();
         self.fold_canonical(&mut h);
         h.finish()
+    }
+
+    /// This machine with every field that cannot reach timing on it reset
+    /// to its Table 2 default. Two machines with the same timing class
+    /// give bit-identical [`SimStats`](crate::stats::SimStats) on every
+    /// program, so a caller may simulate one and key the rest on the
+    /// class's [`canonical_hash`](Self::canonical_hash):
+    ///
+    /// * on one cluster, dependence-aware steering picks exactly the
+    ///   round-robin scheduler, and no result crosses a cluster, so
+    ///   `steering` and `cluster_delay` are reset;
+    /// * `rb_rf_only` only changes how redundant results reach their
+    ///   consumers, and Baseline and Ideal produce none, so it is reset
+    ///   there.
+    ///
+    /// `datapath` stays: the Faithful check adds `fidelity_checks`.
+    pub fn timing_class(&self) -> MachineConfig {
+        let mut class = self.clone();
+        if self.clusters <= 1 {
+            let table2 = MachineConfig::new(self.model, 4);
+            class.steering = table2.steering;
+            class.cluster_delay = table2.cluster_delay;
+        }
+        if !self.model.is_rb() {
+            class.rb_rf_only = false;
+        }
+        class
     }
 }
 

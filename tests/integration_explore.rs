@@ -1,7 +1,8 @@
 //! End-to-end tests for `redbin-explore`: the default grid's static
 //! pruning cross-checked against the bypass analyzer, the pinned golden
-//! frontier for the small fixed grid, and scheduler independence of the
-//! whole report document.
+//! frontier for the small fixed grid, scheduler independence of the
+//! whole report document, and one simulation per timing class through a
+//! loopback server.
 //!
 //! To regenerate the golden after an intentional change:
 //!
@@ -12,10 +13,13 @@
 use std::path::PathBuf;
 
 use redbin::json;
+use redbin::sim::{BypassLevels, CoreModel, SteeringPolicy};
 use redbin_analyze::bypass::validate_machine;
 use redbin_explore::backend::Backend;
+use redbin_explore::delay::DelayModelSpec;
 use redbin_explore::grid::GridSpec;
 use redbin_explore::{explore, report};
+use redbin_serve::{Client, ServeConfig, Server};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
@@ -182,4 +186,66 @@ fn spec_file_roundtrip_produces_the_same_report() {
         report::to_json(&a).to_pretty(),
         report::to_json(&b).to_pretty()
     );
+}
+
+/// Through a server too, each timing class is simulated once: Baseline
+/// and Ideal at width 4 under both steerings and both `rb-rf-only`
+/// settings are 8 job ids in 2 classes. The report equals the local
+/// backend's, the server queues 2 jobs, and a rerun is 2 cache hits.
+#[test]
+fn server_backend_simulates_each_timing_class_once() {
+    let grid = GridSpec {
+        widths: vec![4],
+        models: vec![CoreModel::Baseline, CoreModel::Ideal],
+        bypass: vec![BypassLevels::FULL],
+        steering: SteeringPolicy::all().to_vec(),
+        rb_rf_only: vec![false, true],
+        delay_models: vec![DelayModelSpec::UnitGate],
+        ..GridSpec::golden_small()
+    };
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let handle = std::thread::spawn(move || server.run());
+    let backend = Backend::Server { addr: addr.clone() };
+
+    let cold = explore(&grid, &backend).expect("explores through the server");
+    assert_eq!(cold.unique_sims, 8);
+    assert_eq!(cold.metrics.counter("explore.sims.run"), 2);
+    assert_eq!(cold.cache_hits, 0);
+    let local_run = explore(&grid, &local()).expect("explores locally");
+    assert_eq!(
+        report::to_json(&cold).to_pretty(),
+        report::to_json(&local_run).to_pretty(),
+        "server and local backends must agree on the whole report"
+    );
+
+    let client = Client::new(addr);
+    let stats = client.stats().expect("stats");
+    let submitted = stats
+        .get("jobs")
+        .and_then(|jobs| jobs.get("submitted"))
+        .and_then(json::Json::as_u64);
+    assert_eq!(submitted, Some(2), "one job per timing class");
+
+    let warm = explore(&grid, &backend).expect("re-explores through the server");
+    assert_eq!(warm.cache_hits, 2);
+    assert_eq!(warm.metrics.counter("explore.sims.run"), 2);
+    for (w, c) in warm.evaluated.iter().zip(&cold.evaluated) {
+        assert!(
+            w.cache_hit,
+            "{}: every point takes its class's hit",
+            w.job_id
+        );
+        assert_eq!((&w.job_id, w.ipc), (&c.job_id, c.ipc));
+    }
+
+    client.shutdown().expect("shutdown accepted");
+    handle.join().expect("server thread").expect("clean exit");
 }
