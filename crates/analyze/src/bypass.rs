@@ -56,7 +56,11 @@ impl OperandClass {
             "{}->{} {}",
             if self.producer_rb { "rb" } else { "tc" },
             if self.need_tc { "tc" } else { "any" },
-            if self.cross_cluster { "remote" } else { "local" },
+            if self.cross_cluster {
+                "remote"
+            } else {
+                "local"
+            },
         )
     }
 }
@@ -143,7 +147,12 @@ fn probe(model: &BypassModel, cfg: &MachineConfig, class: OperandClass) -> Reach
     let r = ResultTiming {
         ready: READY,
         rb: class.producer_rb,
-        tc_ready: READY + if class.producer_rb { cfg.conversion_latency } else { 0 },
+        tc_ready: READY
+            + if class.producer_rb {
+                cfg.conversion_latency
+            } else {
+                0
+            },
         cluster: 0,
     };
     let consumer_cluster = usize::from(class.cross_cluster);
@@ -200,16 +209,29 @@ fn probe(model: &BypassModel, cfg: &MachineConfig, class: OperandClass) -> Reach
             }
             if avail {
                 if let Some(s) = run_start.take() {
-                    holes.push(Hole { start: s, width: off - s });
+                    holes.push(Hole {
+                        start: s,
+                        width: off - s,
+                    });
                 }
             }
         }
         if let Some(s) = run_start {
-            holes.push(Hole { start: s, width: end - s });
+            holes.push(Hole {
+                start: s,
+                width: end - s,
+            });
         }
     }
 
-    Reachability { class, first, continuous_from, holes, levels, uses_rf }
+    Reachability {
+        class,
+        first,
+        continuous_from,
+        holes,
+        levels,
+        uses_rf,
+    }
 }
 
 /// Runs the bypass pass over one machine configuration.
@@ -232,7 +254,11 @@ pub fn analyze_config(cfg: &MachineConfig) -> BypassAnalysis {
                 entries.push(probe(
                     &model,
                     cfg,
-                    OperandClass { producer_rb, need_tc, cross_cluster },
+                    OperandClass {
+                        producer_rb,
+                        need_tc,
+                        cross_cluster,
+                    },
                 ));
             }
         }
@@ -282,7 +308,10 @@ pub fn validate_machine(cfg: &MachineConfig) -> Result<BypassAnalysis, UnsoundCo
     if a.sound() {
         Ok(a)
     } else {
-        Err(UnsoundConfig { machine: a.machine.clone(), unreachable: a.unreachable() })
+        Err(UnsoundConfig {
+            machine: a.machine.clone(),
+            unreachable: a.unreachable(),
+        })
     }
 }
 
@@ -378,10 +407,7 @@ pub fn analysis_json(a: &BypassAnalysis) -> Json {
         .map(|e| {
             let mut eo = Json::object();
             eo.set("class", Json::Str(e.class.label()));
-            eo.set(
-                "first",
-                e.first.map_or(Json::Null, Json::UInt),
-            );
+            eo.set("first", e.first.map_or(Json::Null, Json::UInt));
             eo.set(
                 "continuous-from",
                 e.continuous_from.map_or(Json::Null, Json::UInt),
@@ -434,7 +460,12 @@ mod tests {
         let p = run();
         assert!(!p.analyses.is_empty());
         for a in &p.analyses {
-            assert!(a.sound(), "{} unreachable: {:?}", a.machine, a.unreachable());
+            assert!(
+                a.sound(),
+                "{} unreachable: {:?}",
+                a.machine,
+                a.unreachable()
+            );
         }
     }
 

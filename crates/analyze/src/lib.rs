@@ -200,7 +200,11 @@ pub fn run(opts: &Options) -> (i32, String) {
         doc.set("clean", Json::Bool(clean));
         (code, doc.to_pretty())
     } else {
-        text.push_str(if clean { "analyze: clean\n" } else { "analyze: PROBLEMS FOUND\n" });
+        text.push_str(if clean {
+            "analyze: clean\n"
+        } else {
+            "analyze: PROBLEMS FOUND\n"
+        });
         (code, text)
     }
 }
@@ -326,7 +330,10 @@ pub fn run_programs(opts: &ProgramsOptions) -> (i32, String) {
 
     // Torture programs are safety-verified only (lints off): random ALU
     // soup is not style-checked, just proved in-bounds and halting.
-    let torture_opts = AnalyzeOptions { lints: false, ..AnalyzeOptions::default() };
+    let torture_opts = AnalyzeOptions {
+        lints: false,
+        ..AnalyzeOptions::default()
+    };
     let mut torture_safe = 0u64;
     let mut torture_unsafe: Vec<(u64, program::ProgramAnalysis)> = Vec::new();
     for seed in opts.start_seed..opts.start_seed.saturating_add(opts.torture_seeds) {
@@ -353,7 +360,12 @@ pub fn run_programs(opts: &ProgramsOptions) -> (i32, String) {
         doc.set("tool", Json::Str("redbin-analyze programs".into()));
         doc.set(
             "programs",
-            Json::Arr(analyses.iter().map(program::ProgramAnalysis::to_json).collect()),
+            Json::Arr(
+                analyses
+                    .iter()
+                    .map(program::ProgramAnalysis::to_json)
+                    .collect(),
+            ),
         );
         if opts.torture_seeds > 0 {
             let mut t = Json::object();
@@ -362,11 +374,16 @@ pub fn run_programs(opts: &ProgramsOptions) -> (i32, String) {
             t.set("safe", Json::UInt(torture_safe));
             t.set(
                 "unsafe",
-                Json::Arr(torture_unsafe.iter().map(|(s, a)| {
-                    let mut o = a.to_json();
-                    o.set("seed", Json::UInt(*s));
-                    o
-                }).collect()),
+                Json::Arr(
+                    torture_unsafe
+                        .iter()
+                        .map(|(s, a)| {
+                            let mut o = a.to_json();
+                            o.set("seed", Json::UInt(*s));
+                            o
+                        })
+                        .collect(),
+                ),
             );
             doc.set("torture", t);
         }
@@ -471,7 +488,10 @@ fn lint_text(pass: &lint::LintReport) -> String {
         pass.files_scanned, pass.goldens_checked
     );
     for f in &pass.findings {
-        s.push_str(&format!("  {}:{} [{}] {}\n", f.file, f.line, f.rule, f.message));
+        s.push_str(&format!(
+            "  {}:{} [{}] {}\n",
+            f.file, f.line, f.rule, f.message
+        ));
     }
     s
 }
@@ -502,7 +522,12 @@ mod tests {
 
     #[test]
     fn netlist_and_bypass_passes_are_clean_in_process() {
-        let opts = Options { netlist: true, bypass: true, json: true, ..Options::default() };
+        let opts = Options {
+            netlist: true,
+            bypass: true,
+            json: true,
+            ..Options::default()
+        };
         let (code, report) = run(&opts);
         assert_eq!(code, 0, "report: {report}");
         let doc = redbin::json::parse(&report).expect("json report");

@@ -61,8 +61,14 @@ pub const NO_PANIC_DIRS: [&str; 2] = ["crates/explore/src/", "crates/workload/sr
 /// Tokens `no-panic` forbids. These occurrences live in string literals,
 /// which [`strip_line`] removes before matching — the linter does not flag
 /// its own rule table.
-const PANIC_TOKENS: [&str; 6] =
-    [".unwrap()", ".expect(", "panic!", "unreachable!", "todo!", "unimplemented!"];
+const PANIC_TOKENS: [&str; 6] = [
+    ".unwrap()",
+    ".expect(",
+    "panic!",
+    "unreachable!",
+    "todo!",
+    "unimplemented!",
+];
 
 /// Type names whose `match` expressions must be wildcard-free.
 const STALL_TYPES: [&str; 2] = ["StallCause", "UnavailableReason"];
@@ -255,8 +261,8 @@ fn allows(line: &str, rule: &str) -> bool {
 /// Scans one Rust source file. `rel` is the workspace-relative path.
 fn scan_rust_file(rel: &str, text: &str, findings: &mut Vec<LintFinding>) {
     let lines: Vec<&str> = text.lines().collect();
-    let no_panic = NO_PANIC_FILES.contains(&rel)
-        || NO_PANIC_DIRS.iter().any(|d| rel.starts_with(d));
+    let no_panic =
+        NO_PANIC_FILES.contains(&rel) || NO_PANIC_DIRS.iter().any(|d| rel.starts_with(d));
     // `instant-now` exemptions: the telemetry crate is the sanctioned home
     // of the raw call; integration-test directories poll real servers and
     // are covered by the test-module exemption in spirit.
@@ -280,7 +286,12 @@ fn scan_rust_file(rel: &str, text: &str, findings: &mut Vec<LintFinding>) {
         if allows(here, rule) || allows(above, rule) {
             return;
         }
-        findings.push(LintFinding { file: rel.to_string(), line: line_no, rule, message });
+        findings.push(LintFinding {
+            file: rel.to_string(),
+            line: line_no,
+            rule,
+            message,
+        });
     };
 
     for (i, raw) in lines.iter().enumerate() {
@@ -465,7 +476,11 @@ pub fn run(root: &Path) -> std::io::Result<LintReport> {
         }
     }
 
-    Ok(LintReport { files_scanned, goldens_checked, findings })
+    Ok(LintReport {
+        files_scanned,
+        goldens_checked,
+        findings,
+    })
 }
 
 /// Renders the report as JSON.
@@ -518,7 +533,10 @@ mod tests {
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
         assert_eq!(scan("crates/explore/src/lib.rs", src).len(), 1);
         assert_eq!(scan("crates/explore/src/pareto.rs", src).len(), 1);
-        assert_eq!(scan("crates/explore/src/bin/redbin-explore.rs", src).len(), 1);
+        assert_eq!(
+            scan("crates/explore/src/bin/redbin-explore.rs", src).len(),
+            1
+        );
         // The workload crate assembles server-supplied custom programs.
         assert_eq!(scan("crates/workload/src/text.rs", src).len(), 1);
         assert_eq!(scan("crates/workload/src/kernels/spec95.rs", src).len(), 1);
@@ -619,12 +637,16 @@ fn f(c: Color) -> u8 {
         // is crates/analyze, so the root is two levels up.
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
         let report = run(&root).expect("lints");
-        assert!(report.files_scanned > 50, "scanned {}", report.files_scanned);
-        assert!(report.goldens_checked >= 3, "goldens {}", report.goldens_checked);
         assert!(
-            report.clean(),
-            "findings: {:#?}",
-            report.findings
+            report.files_scanned > 50,
+            "scanned {}",
+            report.files_scanned
         );
+        assert!(
+            report.goldens_checked >= 3,
+            "goldens {}",
+            report.goldens_checked
+        );
+        assert!(report.clean(), "findings: {:#?}", report.findings);
     }
 }

@@ -68,7 +68,11 @@ impl CircuitGraph {
             .outputs()
             .map(|(name, id)| (name.to_string(), id.index()))
             .collect();
-        CircuitGraph { kinds, fanins, outputs }
+        CircuitGraph {
+            kinds,
+            fanins,
+            outputs,
+        }
     }
 
     /// Builds a graph from raw parts. Unlike the netlist builder this can
@@ -94,7 +98,11 @@ impl CircuitGraph {
         for (name, id) in &outputs {
             assert!(*id < n, "output `{name}` references node {id} (n = {n})");
         }
-        CircuitGraph { kinds, fanins, outputs }
+        CircuitGraph {
+            kinds,
+            fanins,
+            outputs,
+        }
     }
 
     /// Number of nodes (inputs, constants and gates).
@@ -169,10 +177,7 @@ impl CircuitGraph {
                         GRAY => {
                             // Back edge: the cycle is the stack suffix from
                             // `child` to `node`.
-                            let pos = stack
-                                .iter()
-                                .position(|&(n, _)| n == child)
-                                .unwrap_or(0);
+                            let pos = stack.iter().position(|&(n, _)| n == child).unwrap_or(0);
                             let nodes = stack[pos..].iter().map(|&(n, _)| n).collect();
                             return Some(CombinationalCycle { nodes });
                         }
@@ -225,7 +230,9 @@ impl CircuitGraph {
         if processed < n {
             // Some nodes never reached in-degree 0: a cycle. Locate it with
             // the DFS so the report can name the nodes.
-            return Err(self.find_cycle().unwrap_or(CombinationalCycle { nodes: vec![] }));
+            return Err(self
+                .find_cycle()
+                .unwrap_or(CombinationalCycle { nodes: vec![] }));
         }
         Ok(depth)
     }
@@ -417,7 +424,11 @@ pub fn assess(circuits: Vec<CircuitReport>, claims: Vec<Claim1Proof>) -> Netlist
             ));
         }
     }
-    NetlistAnalysis { circuits, claims, problems }
+    NetlistAnalysis {
+        circuits,
+        claims,
+        problems,
+    }
 }
 
 /// Runs the netlist pass over the standard circuit set: the redundant
@@ -426,7 +437,10 @@ pub fn assess(circuits: Vec<CircuitReport>, claims: Vec<Claim1Proof>) -> Netlist
 pub fn run() -> NetlistAnalysis {
     let mut circuits = Vec::new();
     for &w in &CLAIM1_WIDTHS {
-        circuits.push(analyze_circuit(&format!("rb{w}"), adders::rb_adder(w).netlist()));
+        circuits.push(analyze_circuit(
+            &format!("rb{w}"),
+            adders::rb_adder(w).netlist(),
+        ));
         circuits.push(analyze_circuit(
             &format!("cla{w}"),
             adders::carry_lookahead(w).netlist(),
@@ -437,7 +451,10 @@ pub fn run() -> NetlistAnalysis {
         adders::rb_to_tc_converter(64).netlist(),
     ));
 
-    let claims = vec![prove_claim1(DelayModel::UnitGate), prove_claim1(FANOUT_MODEL)];
+    let claims = vec![
+        prove_claim1(DelayModel::UnitGate),
+        prove_claim1(FANOUT_MODEL),
+    ];
     let mut analysis = assess(circuits, claims);
 
     // Second cross-check: the §3.4 report must tell the same story the
@@ -570,7 +587,11 @@ mod tests {
     fn claim1_holds_under_both_models() {
         for model in [DelayModel::UnitGate, FANOUT_MODEL] {
             let p = prove_claim1(model);
-            assert!(p.rb_width_independent, "{}: rb depths {:?}", p.model, p.rb_depths);
+            assert!(
+                p.rb_width_independent,
+                "{}: rb depths {:?}",
+                p.model, p.rb_depths
+            );
             assert!(
                 p.cla_over_rb >= 3.0,
                 "{}: cla/rb = {:.2}",

@@ -214,8 +214,9 @@ impl Cfg {
                             succs[b].push((fall, EdgeKind::Flow));
                         }
                     } else {
-                        problems
-                            .push(format!("pc {last_pc}: branch falls off the end of the code"));
+                        problems.push(format!(
+                            "pc {last_pc}: branch falls off the end of the code"
+                        ));
                     }
                 }
                 _ => {
@@ -224,8 +225,9 @@ impl Cfg {
                     if blk.end < n {
                         succs[b].push((block_of[blk.end], EdgeKind::Flow));
                     } else {
-                        problems
-                            .push(format!("pc {last_pc}: execution falls off the end of the code"));
+                        problems.push(format!(
+                            "pc {last_pc}: execution falls off the end of the code"
+                        ));
                     }
                 }
             }
@@ -240,7 +242,11 @@ impl Cfg {
             }
         }
 
-        let entry = if n > 0 { block_of[prog.entry.min(n - 1)] } else { 0 };
+        let entry = if n > 0 {
+            block_of[prog.entry.min(n - 1)]
+        } else {
+            0
+        };
         Cfg {
             blocks,
             entry,
@@ -421,7 +427,11 @@ fn prove_counted(
             // A `bne` latch only exits when the counter lands exactly on
             // zero, so every decrement must be by 1; the signed `bgt`/`bge`
             // latches exit on any crossing and tolerate larger steps.
-            let min_ok = if last.op == Opcode::Bne { 1..=1 } else { 1..=i64::MAX };
+            let min_ok = if last.op == Opcode::Bne {
+                1..=1
+            } else {
+                1..=i64::MAX
+            };
             let k = match (inst.op, inst.ra, inst.rb) {
                 (Opcode::Subq, ra, Operand::Imm(k)) if ra == c && min_ok.contains(&k) => k as u64,
                 _ => return None, // some other def of the counter
@@ -455,7 +465,10 @@ struct Itv {
 }
 
 impl Itv {
-    const TOP: Itv = Itv { lo: 0, hi: u64::MAX };
+    const TOP: Itv = Itv {
+        lo: 0,
+        hi: u64::MAX,
+    };
 
     fn exact(v: u64) -> Itv {
         Itv { lo: v, hi: v }
@@ -834,7 +847,11 @@ fn must_init(prog: &Program, cfg: &Cfg, entry_mask: RegMask) -> Vec<RegMask> {
                     _ => out_flow,
                 };
                 let merged = state[s] & out;
-                let merged = if s == cfg.entry { merged | entry_mask & merged } else { merged };
+                let merged = if s == cfg.entry {
+                    merged | entry_mask & merged
+                } else {
+                    merged
+                };
                 if merged != state[s] {
                     state[s] = merged;
                     changed = true;
@@ -875,7 +892,10 @@ struct Linkage {
 }
 
 impl Linkage {
-    const TOP: Linkage = Linkage { link: ALL_REGS, not: ALL_REGS };
+    const TOP: Linkage = Linkage {
+        link: ALL_REGS,
+        not: ALL_REGS,
+    };
 
     fn meet(self, other: Linkage) -> Linkage {
         Linkage {
@@ -919,7 +939,10 @@ fn linkage(prog: &Program, cfg: &Cfg) -> Vec<Linkage> {
     if nb == 0 {
         return state;
     }
-    state[cfg.entry] = Linkage { link: 0, not: ALL_REGS };
+    state[cfg.entry] = Linkage {
+        link: 0,
+        not: ALL_REGS,
+    };
     let mut changed = true;
     while changed {
         changed = false;
@@ -1298,7 +1321,14 @@ fn prove_termination(
         }
         let last = &prog.code[blk.end - 1];
         if last.op == Opcode::Ret {
-            let st = scan_linkage(prog, Block { start: blk.start, end: blk.end - 1 }, link[b]);
+            let st = scan_linkage(
+                prog,
+                Block {
+                    start: blk.start,
+                    end: blk.end - 1,
+                },
+                link[b],
+            );
             if st.link & bit(last.ra) == 0 {
                 return Verdict::Unknown;
             }
@@ -1427,7 +1457,10 @@ fn collect_findings(
             push(
                 "unreachable-block",
                 blk.start,
-                format!("block of {} instruction(s) can never execute", blk.end - blk.start),
+                format!(
+                    "block of {} instruction(s) can never execute",
+                    blk.end - blk.start
+                ),
             );
         }
     }
@@ -1478,7 +1511,14 @@ fn collect_findings(
         if last.op != Opcode::Ret {
             continue;
         }
-        let st = scan_linkage(prog, Block { start: blk.start, end: last_pc }, link[b]);
+        let st = scan_linkage(
+            prog,
+            Block {
+                start: blk.start,
+                end: last_pc,
+            },
+            link[b],
+        );
         if st.not & bit(last.ra) != 0 {
             push(
                 "call-linkage",
@@ -1522,7 +1562,10 @@ impl ProgramAnalysis {
         o.set("loops", Json::UInt(self.loops as u64));
         o.set("counted-loops", Json::UInt(self.counted_loops as u64));
         o.set("memory", Json::Str(self.memory.label().into()));
-        o.set("memory-static", Json::Str(self.memory_static.label().into()));
+        o.set(
+            "memory-static",
+            Json::Str(self.memory_static.label().into()),
+        );
         o.set("mem-sites", Json::UInt(self.mem_sites as u64));
         o.set("mem-proved-static", Json::UInt(self.mem_proved as u64));
         o.set("termination", Json::Str(self.termination.label().into()));
@@ -1711,7 +1754,11 @@ dead:   addq r1, #3, r3
         let rules: Vec<&str> = a.findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&"dead-store"), "{rules:?}");
         assert!(rules.contains(&"unreachable-block"), "{rules:?}");
-        let dead = a.findings.iter().find(|f| f.rule == "dead-store").expect("dead");
+        let dead = a
+            .findings
+            .iter()
+            .find(|f| f.rule == "dead-store")
+            .expect("dead");
         assert_eq!(dead.pc, 0);
         assert_eq!(dead.location, "2:9");
 
@@ -1778,7 +1825,14 @@ sub:    bis r26, r26, r25
 
         // Independent adds: the width cap is the only limit.
         let wide: Vec<Inst> = (0..20)
-            .map(|i| Inst::op(Opcode::Addq, Reg(1), Operand::Imm(1), Reg(2 + (i % 8) as u8)))
+            .map(|i| {
+                Inst::op(
+                    Opcode::Addq,
+                    Reg(1),
+                    Operand::Imm(1),
+                    Reg(2 + (i % 8) as u8),
+                )
+            })
             .chain([Inst::halt()])
             .collect();
         let p = Program::new(wide).with_reg(1, 0);
@@ -1794,9 +1848,18 @@ sub:    bis r26, r26, r25
     fn torture_programs_verify_safe_without_lints() {
         for seed in [0u64, 1, 2, 17] {
             let prog = redbin::workload::fuzz::torture_program(seed);
-            let opts = AnalyzeOptions { lints: false, ..AnalyzeOptions::default() };
+            let opts = AnalyzeOptions {
+                lints: false,
+                ..AnalyzeOptions::default()
+            };
             let a = analyze_program(&prog, None, &opts);
-            assert!(a.safe(), "seed {seed}: mem {:?} halt {:?} {:?}", a.memory, a.termination, a.notes);
+            assert!(
+                a.safe(),
+                "seed {seed}: mem {:?} halt {:?} {:?}",
+                a.memory,
+                a.termination,
+                a.notes
+            );
             assert!(a.findings.is_empty());
             // The generator's loops are counted by construction; the
             // static tier must prove every one of them.

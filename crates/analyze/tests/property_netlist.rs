@@ -2,8 +2,8 @@
 //! never reported cyclic, seeded back-edges always are, and the Kahn
 //! longest-path depth matches a brute-force recursion.
 
-use redbin_analyze::netlist::{CircuitGraph, FANOUT_MODEL};
 use redbin::gates::{DelayModel, NodeKind};
+use redbin_analyze::netlist::{CircuitGraph, FANOUT_MODEL};
 use redbin_testkit::{cases, Rng};
 
 /// Builds a random graph in creation order: every edge points from a
@@ -20,7 +20,11 @@ fn random_parts(rng: &mut Rng) -> (Vec<NodeKind>, Vec<Vec<usize>>) {
             fanins.push(Vec::new());
         } else {
             let two_input = rng.next_bool();
-            kinds.push(if two_input { NodeKind::And } else { NodeKind::Not });
+            kinds.push(if two_input {
+                NodeKind::And
+            } else {
+                NodeKind::Not
+            });
             let arity = if two_input { 2 } else { 1 };
             let mut f = Vec::with_capacity(arity);
             for _ in 0..arity {

@@ -338,7 +338,9 @@ mod tests {
         let mut expect = 0i64;
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         for _ in 0..500 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let v = x as i64;
             acc = adder.add(acc, rb(v)).sum;
             expect = expect.wrapping_add(v);

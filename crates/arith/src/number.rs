@@ -296,11 +296,24 @@ mod tests {
 
     #[test]
     fn from_i64_round_trips_extremes() {
-        for v in [0i64, 1, -1, 42, -42, i64::MAX, i64::MIN, 0x5555_5555_5555_5555] {
+        for v in [
+            0i64,
+            1,
+            -1,
+            42,
+            -42,
+            i64::MAX,
+            i64::MIN,
+            0x5555_5555_5555_5555,
+        ] {
             let n = RbNumber::from_i64(v);
             assert_eq!(n.to_i64(), v, "round trip failed for {v}");
             assert!(n.is_normalized());
-            assert_eq!(n.value_i128(), v as i128, "hardwired conversion must be exact");
+            assert_eq!(
+                n.value_i128(),
+                v as i128,
+                "hardwired conversion must be exact"
+            );
         }
     }
 
@@ -355,8 +368,8 @@ mod tests {
         assert!(RbNumber::ZERO.is_zero());
         // No nonzero digit pattern can sum to zero: the leading digit
         // dominates.
-        let n = RbNumber::from_digits(&[(5, 1), (4, -1), (3, -1), (2, -1), (1, -1), (0, -1)])
-            .unwrap();
+        let n =
+            RbNumber::from_digits(&[(5, 1), (4, -1), (3, -1), (2, -1), (1, -1), (0, -1)]).unwrap();
         assert_eq!(n.to_i64(), 1);
         assert!(!n.is_zero());
     }

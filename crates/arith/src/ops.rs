@@ -78,8 +78,8 @@ pub fn cttz(n: RbNumber) -> u32 {
 #[must_use]
 pub fn shl_digits(n: RbNumber, k: u32) -> RbNumber {
     let k = k & 63;
-    let shifted = RbNumber::from_planes(n.plus() << k, n.minus() << k)
-        .expect("shift cannot create <1,1>");
+    let shifted =
+        RbNumber::from_planes(n.plus() << k, n.minus() << k).expect("shift cannot create <1,1>");
     normalize(shifted)
 }
 

@@ -282,7 +282,10 @@ mod tests {
         assert!(z.is_zero());
         let three = R4Number::from_i64(3);
         assert_eq!(three.to_string(), "⟨3⟩₄");
-        assert_eq!(R4Number::from_i64(-6).add(R4Number::from_i64(6)).to_i64(), 0);
+        assert_eq!(
+            R4Number::from_i64(-6).add(R4Number::from_i64(6)).to_i64(),
+            0
+        );
     }
 
     #[test]
@@ -294,7 +297,9 @@ mod tests {
         let mut r4 = R4Number::ZERO;
         let mut x = 99u64;
         for _ in 0..200 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let v = x as i64;
             r2 = adder.add(r2, RbNumber::from_i64(v)).sum;
             r4 = r4.add(R4Number::from_i64(v));

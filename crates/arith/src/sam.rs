@@ -110,7 +110,9 @@ impl SamDecoder {
             false
         } else {
             let m = (1u64 << self.lo) - 1;
-            (base & m).checked_add(disp & m).is_none_or(|s| s >> self.lo != 0)
+            (base & m)
+                .checked_add(disp & m)
+                .is_none_or(|s| s >> self.lo != 0)
         };
         (0..self.rows() as u64)
             .map(|r| sum_equals(a, b, r, cin, width))
@@ -229,7 +231,9 @@ mod tests {
             // Build a genuinely redundant base: sum of two values.
             let p1 = (x >> 3) as i64;
             let p2 = (x >> 29) as i64;
-            let base_rb = adder.add(RbNumber::from_i64(p1), RbNumber::from_i64(p2)).sum;
+            let base_rb = adder
+                .add(RbNumber::from_i64(p1), RbNumber::from_i64(p2))
+                .sum;
             let disp = x & 0x7fff;
             let ea = base_rb.to_u64().wrapping_add(disp);
             let expect = (ea >> 5) as usize & 0x7f;

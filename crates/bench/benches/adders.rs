@@ -49,7 +49,9 @@ fn bench_sam(h: &Bench) {
     let base = adder
         .add(RbNumber::from_i64(0x1000_0000), RbNumber::from_i64(0xcafe))
         .sum;
-    h.run("modified_sam_decode_row", || mdec.decode(bb(base), bb(0x40)));
+    h.run("modified_sam_decode_row", || {
+        mdec.decode(bb(base), bb(0x40))
+    });
 }
 
 fn bench_gate_netlists(h: &Bench) {

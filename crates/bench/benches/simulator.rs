@@ -24,7 +24,9 @@ fn bench_simulator(h: &Bench) {
         for model in [CoreModel::Baseline, CoreModel::RbFull] {
             let config = MachineConfig::new(model, 8);
             h.run(&format!("simulate/{}_{}", b.name(), model.name()), || {
-                Simulator::new(config.clone(), &program).run().expect("runs")
+                Simulator::new(config.clone(), &program)
+                    .run()
+                    .expect("runs")
             });
         }
     }
@@ -35,7 +37,9 @@ fn bench_faithful_overhead(h: &Bench) {
     for mode in [DatapathMode::Fast, DatapathMode::Faithful] {
         let config = MachineConfig::rb_full(8).with_datapath(mode);
         h.run(&format!("faithful_datapath/{mode:?}"), || {
-            Simulator::new(config.clone(), &program).run().expect("runs")
+            Simulator::new(config.clone(), &program)
+                .run()
+                .expect("runs")
         });
     }
 }

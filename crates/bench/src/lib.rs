@@ -169,7 +169,9 @@ pub fn emit_json(
     instructions: Option<u64>,
     body: json::Json,
 ) {
-    let Some(path) = args.json.as_deref() else { return };
+    let Some(path) = args.json.as_deref() else {
+        return;
+    };
     let elapsed = started.elapsed();
     let secs = elapsed.as_secs_f64();
     let mut doc = json::with_meta(experiment, args.effective_scale(), elapsed, body);
@@ -183,8 +185,7 @@ pub fn emit_json(
         reg.set_gauge("instructions-per-second", rate);
     }
     doc.set("telemetry", json::metrics(&reg));
-    json::write_file(path, &doc)
-        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    json::write_file(path, &doc).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     eprintln!("json: wrote {}", path.display());
 }
 
@@ -224,7 +225,10 @@ mod tests {
         // regression test that it now fails instead.
         let e = parse_cli(&argv(&["--scale", "huge"])).unwrap_err();
         assert!(e.contains("unknown scale"), "{e}");
-        assert!(Scale::from_name("FULL").is_err(), "names are case-sensitive");
+        assert!(
+            Scale::from_name("FULL").is_err(),
+            "names are case-sensitive"
+        );
         assert!(parse_cli(&argv(&["--scale"])).is_err(), "missing value");
     }
 

@@ -27,8 +27,19 @@ use crate::BenchArgs;
 /// (`all` itself and the beyond-the-paper `ablations`, `programs` and
 /// `fuzz` are extra).
 pub const COMMANDS: &[&str] = &[
-    "delays", "table1", "table3", "figure9", "figure10", "figure11", "figure12", "figure13",
-    "figure14", "ablations", "programs", "fuzz", "all",
+    "delays",
+    "table1",
+    "table3",
+    "figure9",
+    "figure10",
+    "figure11",
+    "figure12",
+    "figure13",
+    "figure14",
+    "ablations",
+    "programs",
+    "fuzz",
+    "all",
 ];
 
 /// The experiments `all` runs, in order, with their transcript headings —
@@ -113,7 +124,10 @@ fn run_single(command: &str, cfg: &experiments::ExperimentConfig) -> Option<Outc
 }
 
 fn run_ipc_figure(n: u32, fig: experiments::IpcFigure) -> Outcome {
-    print!("{}", report::render_ipc_figure(&fig, &format!("Figure {n}.")));
+    print!(
+        "{}",
+        report::render_ipc_figure(&fig, &format!("Figure {n}."))
+    );
     println!();
     print!("{}", report::render_ipc_bars(&fig));
     Outcome {
@@ -169,8 +183,10 @@ fn run_delays() -> Outcome {
     use redbin::gates::netlist::DelayModel;
     use redbin::gates::report::DelayReport;
     let unit = experiments::delay_report();
-    let fanout =
-        DelayReport::compute(DelayModel::FanoutAware { load_factor: 0.2 }, &[8, 16, 32, 64, 128]);
+    let fanout = DelayReport::compute(
+        DelayModel::FanoutAware { load_factor: 0.2 },
+        &[8, 16, 32, 64, 128],
+    );
     println!("§3.4 critical-path delays (unit-gate model):");
     print!("{unit}");
     println!();
@@ -195,7 +211,10 @@ fn run_delays() -> Outcome {
     let mut body = Json::object();
     body.set("unit-gate", json::delay_report(&unit));
     body.set("fanout-aware", json::delay_report(&fanout));
-    body.set("static-analysis", redbin_analyze::netlist::depth_report_json());
+    body.set(
+        "static-analysis",
+        redbin_analyze::netlist::depth_report_json(),
+    );
     Outcome {
         instructions: None,
         simulations: 0,
@@ -228,11 +247,13 @@ fn run_ablations(cfg: &experiments::ExperimentConfig) -> Outcome {
         println!("  {name:>18} w{width}: {hm:.3}");
     }
     let benches = Benchmark::all().len() as u64;
-    let sims =
-        (conversion.len() + cluster.len() + window.len() + steering.len()) as u64 * benches;
+    let sims = (conversion.len() + cluster.len() + window.len() + steering.len()) as u64 * benches;
     let window_u64: Vec<(u64, f64)> = window.iter().map(|&(w, hm)| (w as u64, hm)).collect();
     let mut body = Json::object();
-    body.set("conversion-sweep", json::sweep("conversion-cycles", &conversion));
+    body.set(
+        "conversion-sweep",
+        json::sweep("conversion-cycles", &conversion),
+    );
     body.set("cluster-sweep", json::sweep("cluster-delay", &cluster));
     body.set("window-sweep", json::sweep("window-entries", &window_u64));
     body.set("steering", json::steering(&steering));
@@ -276,7 +297,11 @@ fn run_fuzz(args: &BenchArgs) {
     println!(
         "fuzz: seeds {start}..{} through the differential oracle{}",
         start + n,
-        if args.verify_static { " (with static verification)" } else { "" }
+        if args.verify_static {
+            " (with static verification)"
+        } else {
+            ""
+        }
     );
     for seed in start..start + n {
         if args.verify_static {
@@ -341,7 +366,9 @@ fn verify_torture_seed(seed: u64) {
     for line in fuzz::disassemble(&program).lines() {
         eprintln!("fuzz:   {line}");
     }
-    eprintln!("fuzz: reproduce with: redbin-repro fuzz --start-seed {seed:#x} --seeds 1 --verify-static");
+    eprintln!(
+        "fuzz: reproduce with: redbin-repro fuzz --start-seed {seed:#x} --seeds 1 --verify-static"
+    );
     std::process::exit(1);
 }
 
@@ -436,9 +463,13 @@ fn write_profile(
     let mut body = Json::object();
     body.set("experiments", experiments);
     body.set("totals", total.to_json());
-    let doc = json::with_meta("profile", args.effective_scale(), run_started.elapsed(), body);
-    json::write_file(path, &doc)
-        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+    let doc = json::with_meta(
+        "profile",
+        args.effective_scale(),
+        run_started.elapsed(),
+        body,
+    );
+    json::write_file(path, &doc).unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     eprintln!("profile: wrote {}", path.display());
 }
 

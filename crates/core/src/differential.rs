@@ -192,7 +192,11 @@ fn stats_diff(a: &SimStats, b: &SimStats) -> String {
         ("cycles", a.cycles, b.cycles),
         ("retired", a.retired, b.retired),
         ("mispredicts", a.mispredicts, b.mispredicts),
-        ("bypassed-operands", a.bypassed_operands, b.bypassed_operands),
+        (
+            "bypassed-operands",
+            a.bypassed_operands,
+            b.bypassed_operands,
+        ),
         ("regfile-operands", a.regfile_operands, b.regfile_operands),
         ("store-forwards", a.store_forwards, b.store_forwards),
         ("stall-used", a.stall.used, b.stall.used),

@@ -730,8 +730,18 @@ mod tests {
         assert_eq!(fig.rows.len(), 8);
         let hm = fig.harmonic_means();
         // Ordering: Baseline ≤ RB-full ≤ Ideal (aggregate).
-        assert!(hm[0] <= hm[2] * 1.001, "baseline {0} vs rb-full {1}", hm[0], hm[2]);
-        assert!(hm[2] <= hm[3] * 1.001, "rb-full {0} vs ideal {1}", hm[2], hm[3]);
+        assert!(
+            hm[0] <= hm[2] * 1.001,
+            "baseline {0} vs rb-full {1}",
+            hm[0],
+            hm[2]
+        );
+        assert!(
+            hm[2] <= hm[3] * 1.001,
+            "rb-full {0} vs ideal {1}",
+            hm[2],
+            hm[3]
+        );
     }
 
     #[test]
@@ -739,11 +749,17 @@ mod tests {
         let rows = table3();
         let find = |c: LatencyClass| rows.iter().find(|r| r.class == c).unwrap().clone();
         let arith = find(LatencyClass::IntArith);
-        assert_eq!((arith.base, arith.rb, arith.rb_tc, arith.ideal), (2, 1, Some(3), 1));
+        assert_eq!(
+            (arith.base, arith.rb, arith.rb_tc, arith.ideal),
+            (2, 1, Some(3), 1)
+        );
         let shl = find(LatencyClass::ShiftLeft);
         assert_eq!((shl.base, shl.rb, shl.rb_tc, shl.ideal), (3, 3, Some(5), 3));
         let logic = find(LatencyClass::IntLogical);
-        assert_eq!((logic.base, logic.rb, logic.rb_tc, logic.ideal), (1, 1, None, 1));
+        assert_eq!(
+            (logic.base, logic.rb, logic.rb_tc, logic.ideal),
+            (1, 1, None, 1)
+        );
         let mul = find(LatencyClass::IntMul);
         assert_eq!((mul.base, mul.rb, mul.rb_tc, mul.ideal), (10, 10, None, 10));
         let fdiv = find(LatencyClass::FpDiv);

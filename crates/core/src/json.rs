@@ -516,10 +516,7 @@ pub fn sim_stats(s: &SimStats) -> Json {
     }
     let mut cases = Vec::new();
     for &c in BypassCase::all() {
-        cases.push((
-            c.label().to_string(),
-            Json::UInt(s.bypass_cases.count(c)),
-        ));
+        cases.push((c.label().to_string(), Json::UInt(s.bypass_cases.count(c))));
     }
     obj(vec![
         ("cycles", Json::UInt(s.cycles)),
@@ -779,10 +776,7 @@ pub fn table3(rows: &[Table3Row]) -> Json {
                 ("class", Json::Str(format!("{:?}", r.class))),
                 ("baseline", Json::UInt(r.base)),
                 ("rb", Json::UInt(r.rb)),
-                (
-                    "rb-tc",
-                    r.rb_tc.map_or(Json::Null, Json::UInt),
-                ),
+                ("rb-tc", r.rb_tc.map_or(Json::Null, Json::UInt)),
                 ("ideal", Json::UInt(r.ideal)),
             ])
         })
@@ -845,12 +839,7 @@ pub fn steering(rows: &[(&'static str, usize, f64)]) -> Json {
 
 /// Wraps an experiment body with run metadata: schema version, experiment
 /// name, workload scale, and wall-clock/throughput figures.
-pub fn with_meta(
-    experiment: &str,
-    scale: Scale,
-    elapsed: std::time::Duration,
-    body: Json,
-) -> Json {
+pub fn with_meta(experiment: &str, scale: Scale, elapsed: std::time::Duration, body: Json) -> Json {
     obj(vec![
         ("schema-version", Json::UInt(u64::from(SCHEMA_VERSION))),
         ("experiment", Json::Str(experiment.to_string())),
@@ -928,7 +917,10 @@ mod tests {
             ("a", Json::UInt(7)),
             ("b", Json::Num(1.5)),
             ("c", Json::Str("x \"quoted\"\nline".into())),
-            ("d", Json::Arr(vec![Json::Null, Json::Bool(true), Json::Int(-3)])),
+            (
+                "d",
+                Json::Arr(vec![Json::Null, Json::Bool(true), Json::Int(-3)]),
+            ),
             ("e", Json::object()),
             ("f", Json::Arr(vec![])),
         ]);
@@ -975,9 +967,17 @@ mod tests {
     fn parser_enforces_depth_limit() {
         // MAX_DEPTH nested arrays parse; one more level errors instead of
         // overflowing the stack.
-        let ok = format!("{}1{}", "[".repeat(MAX_DEPTH - 1), "]".repeat(MAX_DEPTH - 1));
+        let ok = format!(
+            "{}1{}",
+            "[".repeat(MAX_DEPTH - 1),
+            "]".repeat(MAX_DEPTH - 1)
+        );
         assert!(parse(&ok).is_ok());
-        let deep = format!("{}1{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let deep = format!(
+            "{}1{}",
+            "[".repeat(MAX_DEPTH + 1),
+            "]".repeat(MAX_DEPTH + 1)
+        );
         let e = parse(&deep).expect_err("too deep");
         assert!(e.message.contains("deep"), "{e}");
         // Unclosed deep nesting must also error, not crash.
@@ -1008,10 +1008,7 @@ mod tests {
         assert_eq!(parse("-42").unwrap(), Json::Int(-42));
         assert_eq!(parse("2.5").unwrap(), Json::Num(2.5));
         assert_eq!(parse("1e3").unwrap(), Json::Num(1000.0));
-        assert_eq!(
-            parse("18446744073709551615").unwrap(),
-            Json::UInt(u64::MAX)
-        );
+        assert_eq!(parse("18446744073709551615").unwrap(), Json::UInt(u64::MAX));
     }
 
     #[test]
@@ -1032,10 +1029,7 @@ mod tests {
         assert_eq!(stall.get("used").and_then(Json::as_u64), Some(30));
         assert_eq!(stall.get("total-slots").and_then(Json::as_u64), Some(80));
         let causes = stall.get("causes").expect("causes");
-        assert_eq!(
-            causes.get("fetch-starved").and_then(Json::as_u64),
-            Some(50)
-        );
+        assert_eq!(causes.get("fetch-starved").and_then(Json::as_u64), Some(50));
         // All seven causes present.
         for &c in StallCause::all() {
             assert!(causes.get(c.key()).is_some(), "missing {c}");
@@ -1060,11 +1054,16 @@ mod tests {
             std::time::Duration::from_millis(1500),
             obj(vec![("x", Json::UInt(1))]),
         );
-        assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("figure9"));
+        assert_eq!(
+            doc.get("experiment").and_then(Json::as_str),
+            Some("figure9")
+        );
         assert_eq!(doc.get("scale").and_then(Json::as_str), Some("test"));
         assert!(doc.get("wall-seconds").and_then(Json::as_f64).unwrap() > 1.0);
         assert_eq!(
-            doc.get("result").and_then(|r| r.get("x")).and_then(Json::as_u64),
+            doc.get("result")
+                .and_then(|r| r.get("x"))
+                .and_then(Json::as_u64),
             Some(1)
         );
     }

@@ -63,7 +63,10 @@ where
     });
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     for (i, out) in locals.into_iter().flatten() {
-        debug_assert!(slots.get(i).is_some_and(Option::is_none), "job {i} ran twice");
+        debug_assert!(
+            slots.get(i).is_some_and(Option::is_none),
+            "job {i} ran twice"
+        );
         if let Some(slot) = slots.get_mut(i) {
             *slot = Some(out);
         }

@@ -111,7 +111,10 @@ pub fn render_figure13(fig: &Figure13) -> String {
         out,
         " the four columns classify each instruction's last-arriving bypassed operand;"
     );
-    let _ = writeln!(out, " RB→TC is the only case requiring a format conversion.)");
+    let _ = writeln!(
+        out,
+        " RB→TC is the only case requiring a format conversion.)"
+    );
     out
 }
 
@@ -119,11 +122,12 @@ pub fn render_figure13(fig: &Figure13) -> String {
 pub fn render_figure14(fig: &Figure14) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Figure 14. IPC with Limited Bypass Networks");
+    let _ = writeln!(out, "(Ideal machine; harmonic mean over all 20 benchmarks)");
     let _ = writeln!(
         out,
-        "(Ideal machine; harmonic mean over all 20 benchmarks)"
+        "{:>8} {:>8} {:>8} {:>9} {:>9}",
+        "config", "4-wide", "8-wide", "Δ4-wide", "Δ8-wide"
     );
-    let _ = writeln!(out, "{:>8} {:>8} {:>8} {:>9} {:>9}", "config", "4-wide", "8-wide", "Δ4-wide", "Δ8-wide");
     let full = &fig.rows[0];
     for row in &fig.rows {
         let _ = writeln!(
@@ -143,11 +147,7 @@ pub fn render_figure14(fig: &Figure14) -> String {
 pub fn render_table1(merged: &Table1Counts, per: &[(Benchmark, Table1Counts)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Table 1. Instruction Classifications (dynamic %)");
-    let _ = writeln!(
-        out,
-        "{:<46} {:>9} {:>8}",
-        "class", "measured", "paper"
-    );
+    let _ = writeln!(out, "{:<46} {:>9} {:>8}", "class", "measured", "paper");
     for &row in Table1Row::all() {
         let _ = writeln!(
             out,
@@ -157,7 +157,12 @@ pub fn render_table1(merged: &Table1Counts, per: &[(Benchmark, Table1Counts)]) -
             row.paper_fraction()
         );
     }
-    let _ = writeln!(out, "measured over {} dynamic instructions, {} proxies", merged.total(), per.len());
+    let _ = writeln!(
+        out,
+        "measured over {} dynamic instructions, {} proxies",
+        merged.total(),
+        per.len()
+    );
     out
 }
 
@@ -175,7 +180,14 @@ pub fn render_table3(rows: &[Table3Row]) -> String {
             Some(tc) => format!("{} ({tc})", r.rb),
             None => format!("{}", r.rb),
         };
-        let _ = writeln!(out, "{:<28} {:>5} {:>15} {:>6}", r.class.name(), r.base, rb, r.ideal);
+        let _ = writeln!(
+            out,
+            "{:<28} {:>5} {:>15} {:>6}",
+            r.class.name(),
+            r.base,
+            rb,
+            r.ideal
+        );
     }
     out
 }

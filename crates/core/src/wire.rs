@@ -300,7 +300,12 @@ impl PointSpec {
             Some(s) => PointSuite::from_name(s).map_err(WireError)?,
             None => PointSuite::Quick,
         };
-        Ok(PointSpec { model, width, steering, suite })
+        Ok(PointSpec {
+            model,
+            width,
+            steering,
+            suite,
+        })
     }
 }
 
@@ -631,9 +636,7 @@ impl JobSpec {
                     .custom
                     .as_deref()
                     .ok_or_else(|| "custom job has no source".to_string())
-                    .and_then(|src| {
-                        redbin_workload::text::parse(src).map_err(|e| e.to_string())
-                    });
+                    .and_then(|src| redbin_workload::text::parse(src).map_err(|e| e.to_string()));
                 match parsed {
                     Err(e) => {
                         let mut o = Json::object();
@@ -908,7 +911,11 @@ impl Response {
         let mut o = Json::object();
         o.set("v", Json::UInt(WIRE_VERSION));
         match self {
-            Response::Accepted { job, cache_hit, state } => {
+            Response::Accepted {
+                job,
+                cache_hit,
+                state,
+            } => {
                 o.set("type", Json::Str("accepted".into()));
                 o.set("job", Json::Str(job.clone()));
                 o.set(
@@ -1052,7 +1059,9 @@ mod tests {
                 job: "deadbeef01234567".into(),
                 wait_ms: Some(MAX_POLL_WAIT_MS),
             },
-            Request::Fetch { job: "deadbeef01234567".into() },
+            Request::Fetch {
+                job: "deadbeef01234567".into(),
+            },
             Request::Stats,
             Request::Metrics,
             Request::Shutdown,
@@ -1099,11 +1108,15 @@ mod tests {
                 job: "ab".into(),
                 body: Json::Obj(vec![("rows".into(), Json::Arr(vec![]))]),
             },
-            Response::Stats { body: Json::object() },
+            Response::Stats {
+                body: Json::object(),
+            },
             Response::Metrics {
                 text: "# TYPE jobs counter\njobs 3\n".into(),
             },
-            Response::Error { message: "nope".into() },
+            Response::Error {
+                message: "nope".into(),
+            },
             Response::Bye { draining: 3 },
         ];
         for r in resps {
@@ -1284,7 +1297,8 @@ top:    subq r1, #1, r1
         assert_eq!(machines.len(), 1);
         assert_eq!(machines[0].model, CoreModel::Baseline);
         assert_eq!(machines[0].width, 8);
-        let ablated = spec.clone()
+        let ablated = spec
+            .clone()
             .with_bypass(BypassLevels::without(&[2]))
             .with_rb_rf_only();
         let m = &ablated.machine_configs()[0];
@@ -1300,7 +1314,12 @@ top:    subq r1, #1, r1
                     SteeringPolicy::DependenceAware,
                 ] {
                     for suite in [PointSuite::Quick, PointSuite::All] {
-                        let p = PointSpec { model, width, steering, suite };
+                        let p = PointSpec {
+                            model,
+                            width,
+                            steering,
+                            suite,
+                        };
                         assert!(ids.insert(JobSpec::point(p, Scale::Test).job_id()));
                     }
                 }

@@ -37,7 +37,10 @@ fn random_json(rng: &mut Rng, depth: usize) -> Json {
         let mut obj = Json::object();
         for i in 0..n {
             // Distinct keys: the strict parser rejects duplicates.
-            obj.set(&format!("k{i}-{}", random_string(rng)), random_json(rng, depth - 1));
+            obj.set(
+                &format!("k{i}-{}", random_string(rng)),
+                random_json(rng, depth - 1),
+            );
         }
         obj
     }
@@ -149,8 +152,8 @@ fn byte_garbage_never_panics_the_parser() {
         let garbage: String = (0..n)
             .map(|_| {
                 *rng.pick(&[
-                    '{', '}', '[', ']', '"', ':', ',', '\\', '0', '9', '-', '+', '.', 'e',
-                    't', 'f', 'n', 'u', 'l', ' ', '\n', '\u{0}', 'µ', '𝕊',
+                    '{', '}', '[', ']', '"', ':', ',', '\\', '0', '9', '-', '+', '.', 'e', 't',
+                    'f', 'n', 'u', 'l', ' ', '\n', '\u{0}', 'µ', '𝕊',
                 ])
             })
             .collect();
@@ -246,11 +249,42 @@ fn reference_string_doc(text: &str) -> Result<Json, ParseError> {
 /// quote is sometimes missing and trailing content sometimes present.
 fn random_string_literal(rng: &mut Rng) -> String {
     const PIECES: &[&str] = &[
-        "a", "Zq9", "plain words ", "{}[]:,", "µ", "⌘", "𝕊", "é", "\n", "\t", "\u{0}",
-        "\\\"", "\\\\", "\\/", "\\b", "\\f", "\\n", "\\r", "\\t",
-        "\\u0041", "\\u00e9", "\\u2318", "\\uFFFF", "\\u0000", "\\uD800", "\\uDFFF",
-        "\\u+041", "\\u-041", "\\u12", "\\uZZZZ", "\\u0⌘", "\\u00⌘", "\\uµµ",
-        "\\x", "\\µ", "\\",
+        "a",
+        "Zq9",
+        "plain words ",
+        "{}[]:,",
+        "µ",
+        "⌘",
+        "𝕊",
+        "é",
+        "\n",
+        "\t",
+        "\u{0}",
+        "\\\"",
+        "\\\\",
+        "\\/",
+        "\\b",
+        "\\f",
+        "\\n",
+        "\\r",
+        "\\t",
+        "\\u0041",
+        "\\u00e9",
+        "\\u2318",
+        "\\uFFFF",
+        "\\u0000",
+        "\\uD800",
+        "\\uDFFF",
+        "\\u+041",
+        "\\u-041",
+        "\\u12",
+        "\\uZZZZ",
+        "\\u0⌘",
+        "\\u00⌘",
+        "\\uµµ",
+        "\\x",
+        "\\µ",
+        "\\",
     ];
     let mut s = String::new();
     for _ in 0..rng.range_usize(0, 3) {

@@ -68,7 +68,11 @@ pub fn run_specs(backend: &Backend, specs: &[JobSpec]) -> Result<Vec<SimOutcome>
     }
 }
 
-fn run_local(specs: &[JobSpec], threads: usize, reference: bool) -> Result<Vec<SimOutcome>, String> {
+fn run_local(
+    specs: &[JobSpec],
+    threads: usize,
+    reference: bool,
+) -> Result<Vec<SimOutcome>, String> {
     let threads = if threads == 0 {
         ExperimentConfig::default().threads
     } else {
@@ -83,12 +87,8 @@ fn run_local(specs: &[JobSpec], threads: usize, reference: bool) -> Result<Vec<S
             .into_iter()
             .next()
             .ok_or_else(|| format!("job {} has no buildable machine", spec.job_id()))?;
-        let benches = spec
-            .point
-            .map(|p| p.suite.benchmarks())
-            .unwrap_or_default();
-        let result =
-            experiments::run_point_with(&machine, &benches, spec.scale, 1, reference);
+        let benches = spec.point.map(|p| p.suite.benchmarks()).unwrap_or_default();
+        let result = experiments::run_point_with(&machine, &benches, spec.scale, 1, reference);
         Ok(SimOutcome {
             job_id: spec.job_id(),
             hmean: result.hmean,

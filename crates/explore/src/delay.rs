@@ -45,7 +45,9 @@ impl DelayModelSpec {
                 .parse()
                 .map_err(|_| format!("bad fanout load factor in `{name}`"))?;
             if !load.is_finite() || load < 0.0 {
-                return Err(format!("fanout load factor must be finite and >= 0, got `{name}`"));
+                return Err(format!(
+                    "fanout load factor must be finite and >= 0, got `{name}`"
+                ));
             }
             return Ok(DelayModelSpec::FanoutAware(load));
         }
@@ -79,7 +81,9 @@ pub fn adder_delay(model: CoreModel, spec: DelayModelSpec) -> f64 {
     let dm = spec.model();
     match model {
         CoreModel::Baseline => StaggeredAdder::new(ADDER_BITS, 2).stage_critical_path(dm),
-        CoreModel::RbLimited | CoreModel::RbFull => rb_adder(ADDER_BITS).netlist().critical_path(dm),
+        CoreModel::RbLimited | CoreModel::RbFull => {
+            rb_adder(ADDER_BITS).netlist().critical_path(dm)
+        }
         CoreModel::Ideal => carry_lookahead(ADDER_BITS).netlist().critical_path(dm),
     }
 }

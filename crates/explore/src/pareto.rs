@@ -49,7 +49,12 @@ pub fn frontier(points: &[Candidate]) -> Vec<usize> {
         // Points sharing one delay can't dominate each other on delay, so
         // the whole group is judged against cheaper delays only.
         let mut j = i;
-        while j < order.len() && points[order[j]].delay.total_cmp(&points[order[i]].delay).is_eq() {
+        while j < order.len()
+            && points[order[j]]
+                .delay
+                .total_cmp(&points[order[i]].delay)
+                .is_eq()
+        {
             j += 1;
         }
         let group_max = points[order[i]].ipc; // sorted IPC-descending within the group

@@ -98,7 +98,15 @@ pub fn render_text(out: &ExploreOutcome) -> String {
     let _ = writeln!(
         s,
         "{:>10} {:>5} {:>8} {:>16} {:>10} {:>6} {:>9} {:>7} {:>7} {:>7}",
-        "model", "width", "bypass", "steering", "rb-rf-only", "delay", "adder", "h-mean", "bound",
+        "model",
+        "width",
+        "bypass",
+        "steering",
+        "rb-rf-only",
+        "delay",
+        "adder",
+        "h-mean",
+        "bound",
         "%limit"
     );
     for &i in &out.frontier {

@@ -409,7 +409,14 @@ pub fn rb_to_tc_converter(n: usize) -> TcAdderCircuit {
     let minus = nl.inputs(n);
     // plus − minus = plus + ¬minus + 1. The converter is a dedicated
     // pipeline circuit, so it gets the fastest (dense) prefix shape.
-    build_prefix_sum(&mut nl, &plus, &minus, true, Some(true), PrefixShape::KoggeStone);
+    build_prefix_sum(
+        &mut nl,
+        &plus,
+        &minus,
+        true,
+        Some(true),
+        PrefixShape::KoggeStone,
+    );
     TcAdderCircuit { netlist: nl, n }
 }
 
@@ -482,7 +489,10 @@ mod tests {
         for _ in 0..60 {
             x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(3);
             let n = adder
-                .add(RbNumber::from_i64(x as i64), RbNumber::from_i64((x >> 7) as i64))
+                .add(
+                    RbNumber::from_i64(x as i64),
+                    RbNumber::from_i64((x >> 7) as i64),
+                )
                 .sum;
             let (s, _cout) = circ.add(n.plus(), n.minus());
             assert_eq!(s, n.to_u64());
@@ -498,7 +508,9 @@ mod tests {
 
     #[test]
     fn cla_depth_grows_logarithmically() {
-        let d8 = carry_lookahead(8).netlist().critical_path(DelayModel::UnitGate);
+        let d8 = carry_lookahead(8)
+            .netlist()
+            .critical_path(DelayModel::UnitGate);
         let d64 = carry_lookahead(64)
             .netlist()
             .critical_path(DelayModel::UnitGate);

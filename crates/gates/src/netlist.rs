@@ -65,11 +65,7 @@ impl NodeKind {
     pub fn base_delay(&self) -> f64 {
         match self {
             NodeKind::Input | NodeKind::Const(_) => 0.0,
-            NodeKind::Not
-            | NodeKind::And
-            | NodeKind::Or
-            | NodeKind::Nand
-            | NodeKind::Nor => 1.0,
+            NodeKind::Not | NodeKind::And | NodeKind::Or | NodeKind::Nand | NodeKind::Nor => 1.0,
             NodeKind::Xor | NodeKind::Xnor | NodeKind::Mux => 2.0,
         }
     }
@@ -92,7 +88,11 @@ enum Node {
     Nor(NodeId, NodeId),
     Xnor(NodeId, NodeId),
     /// A 2:1 multiplexer: `sel ? a : b`.
-    Mux { sel: NodeId, a: NodeId, b: NodeId },
+    Mux {
+        sel: NodeId,
+        a: NodeId,
+        b: NodeId,
+    },
 }
 
 /// The delay model used for critical-path analysis.
@@ -437,9 +437,9 @@ impl Netlist {
                 | Node::Nand(a, b)
                 | Node::Nor(a, b)
                 | Node::Xnor(a, b) => t[a.0 as usize].max(t[b.0 as usize]),
-                Node::Mux { sel, a, b } => t[sel.0 as usize]
-                    .max(t[a.0 as usize])
-                    .max(t[b.0 as usize]),
+                Node::Mux { sel, a, b } => {
+                    t[sel.0 as usize].max(t[a.0 as usize]).max(t[b.0 as usize])
+                }
             };
             t[i] = max_in + delay;
         }

@@ -63,9 +63,7 @@ impl DelayReport {
                         .netlist()
                         .critical_path(model),
                     rb: adders::rb_adder(w).netlist().critical_path(model),
-                    converter: adders::rb_to_tc_converter(w)
-                        .netlist()
-                        .critical_path(model),
+                    converter: adders::rb_to_tc_converter(w).netlist().critical_path(model),
                 }
             })
             .collect();

@@ -45,7 +45,10 @@ impl StaggeredAdder {
     ///
     /// Panics unless `parts` divides `n`, `n <= 64`, and `parts >= 1`.
     pub fn new(n: usize, parts: usize) -> Self {
-        assert!(parts >= 1 && n <= 64 && n.is_multiple_of(parts), "bad staggering");
+        assert!(
+            parts >= 1 && n <= 64 && n.is_multiple_of(parts),
+            "bad staggering"
+        );
         let part = n / parts;
         let stages = (0..parts).map(|_| stage_netlist(part)).collect();
         StaggeredAdder { stages, part, n }
@@ -74,7 +77,11 @@ impl StaggeredAdder {
     /// networks, chaining each stage's carry into the next. Returns the
     /// masked sum and the final carry-out.
     pub fn add(&self, a: u64, b: u64) -> (u64, bool) {
-        let mask = if self.n == 64 { !0u64 } else { (1u64 << self.n) - 1 };
+        let mask = if self.n == 64 {
+            !0u64
+        } else {
+            (1u64 << self.n) - 1
+        };
         let (a, b) = (a & mask, b & mask);
         let pmask = if self.part == 64 {
             !0u64

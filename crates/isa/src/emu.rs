@@ -55,10 +55,7 @@ impl ArchState {
     pub fn diff(&self, other: &ArchState) -> Option<String> {
         for i in 0..NUM_REGS {
             if self.regs[i] != other.regs[i] {
-                return Some(format!(
-                    "r{i}: {:#x} vs {:#x}",
-                    self.regs[i], other.regs[i]
-                ));
+                return Some(format!("r{i}: {:#x} vs {:#x}", self.regs[i], other.regs[i]));
             }
         }
         if self.pc != other.pc {
@@ -556,10 +553,10 @@ mod tests {
     fn call_and_return() {
         // main: bsr f; halt. f: r1 = 42; ret.
         let e = run_prog(vec![
-            Inst::bsr(1, Reg::RA),                                        // 0 -> 2
-            Inst::halt(),                                                 // 1
-            Inst::op(Opcode::Addq, Reg::R31, Operand::Imm(42), Reg(1)),   // 2
-            Inst::ret(Reg::RA),                                           // 3 -> 1
+            Inst::bsr(1, Reg::RA),                                      // 0 -> 2
+            Inst::halt(),                                               // 1
+            Inst::op(Opcode::Addq, Reg::R31, Operand::Imm(42), Reg(1)), // 2
+            Inst::ret(Reg::RA),                                         // 3 -> 1
         ]);
         assert_eq!(e.reg(Reg(1)), 42);
         assert_eq!(e.reg(Reg::RA), 1);

@@ -63,7 +63,10 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 fn opcode_index(op: Opcode) -> u32 {
-    Opcode::all().iter().position(|o| *o == op).expect("opcode in table") as u32
+    Opcode::all()
+        .iter()
+        .position(|o| *o == op)
+        .expect("opcode in table") as u32
 }
 
 fn opcode_from_index(idx: u32) -> Option<Opcode> {
@@ -94,27 +97,29 @@ pub fn encode(inst: &Inst) -> Result<u32, EncodeError> {
     let op = opcode_index(inst.op) << 25;
     let ra = (inst.ra.0 as u32 & 31) << 20;
     let rc = (inst.rc.0 as u32 & 31) << 15;
-    Ok(if inst.op.is_mem() || matches!(inst.op, Opcode::Lda | Opcode::Ldah) {
-        op | ra | rc | fit_signed(inst.disp, 15, "memory displacement")?
-    } else if inst.op.is_conditional_branch() || matches!(inst.op, Opcode::Br | Opcode::Bsr) {
-        // BSR stores its link register where conditionals store the test
-        // register; the decoder routes by opcode.
-        let reg_field = if inst.op == Opcode::Bsr {
-            inst.rc.0
+    Ok(
+        if inst.op.is_mem() || matches!(inst.op, Opcode::Lda | Opcode::Ldah) {
+            op | ra | rc | fit_signed(inst.disp, 15, "memory displacement")?
+        } else if inst.op.is_conditional_branch() || matches!(inst.op, Opcode::Br | Opcode::Bsr) {
+            // BSR stores its link register where conditionals store the test
+            // register; the decoder routes by opcode.
+            let reg_field = if inst.op == Opcode::Bsr {
+                inst.rc.0
+            } else {
+                inst.ra.0
+            };
+            op | ((reg_field as u32 & 31) << 20) | fit_signed(inst.disp, 20, "branch displacement")?
+        } else if inst.op.is_indirect() || inst.op == Opcode::Halt {
+            op | ra | rc
         } else {
-            inst.ra.0
-        };
-        op | ((reg_field as u32 & 31) << 20) | fit_signed(inst.disp, 20, "branch displacement")?
-    } else if inst.op.is_indirect() || inst.op == Opcode::Halt {
-        op | ra | rc
-    } else {
-        match inst.rb {
-            Operand::Reg(r) => op | ra | rc | ((r.0 as u32 & 31) << 9),
-            Operand::Imm(v) => {
-                op | ra | rc | (1 << 14) | (fit_signed(v, 8, "operate literal")? << 6)
+            match inst.rb {
+                Operand::Reg(r) => op | ra | rc | ((r.0 as u32 & 31) << 9),
+                Operand::Imm(v) => {
+                    op | ra | rc | (1 << 14) | (fit_signed(v, 8, "operate literal")? << 6)
+                }
             }
-        }
-    })
+        },
+    )
 }
 
 /// Decodes a 32-bit word back into an instruction.
@@ -183,7 +188,12 @@ mod tests {
         round_trip(Inst::op(Opcode::Addq, Reg(1), Operand::Reg(Reg(2)), Reg(3)));
         round_trip(Inst::op(Opcode::Xor, Reg(9), Operand::Imm(-5), Reg(10)));
         round_trip(Inst::op(Opcode::S8addq, Reg(31), Operand::Imm(127), Reg(0)));
-        round_trip(Inst::op(Opcode::Cmovlt, Reg(4), Operand::Reg(Reg(5)), Reg(6)));
+        round_trip(Inst::op(
+            Opcode::Cmovlt,
+            Reg(4),
+            Operand::Reg(Reg(5)),
+            Reg(6),
+        ));
     }
 
     #[test]
@@ -209,7 +219,10 @@ mod tests {
         let big = Inst::op(Opcode::Addq, Reg(1), Operand::Imm(300), Reg(2));
         assert!(matches!(
             encode(&big),
-            Err(EncodeError::FieldOverflow { field: "operate literal", .. })
+            Err(EncodeError::FieldOverflow {
+                field: "operate literal",
+                ..
+            })
         ));
         let far = Inst::mem(Opcode::Ldq, Reg(1), Reg(2), 1 << 20);
         assert!(encode(&far).is_err());

@@ -172,7 +172,10 @@ impl Table1Counts {
     /// Records one dynamic instruction.
     pub fn record(&mut self, op: Opcode) {
         let row = table1_row(op);
-        let idx = Table1Row::all().iter().position(|r| *r == row).expect("row");
+        let idx = Table1Row::all()
+            .iter()
+            .position(|r| *r == row)
+            .expect("row");
         self.counts[idx] += 1;
         self.total += 1;
     }
@@ -187,7 +190,10 @@ impl Table1Counts {
         if self.total == 0 {
             return 0.0;
         }
-        let idx = Table1Row::all().iter().position(|r| *r == row).expect("row");
+        let idx = Table1Row::all()
+            .iter()
+            .position(|r| *r == row)
+            .expect("row");
         100.0 * self.counts[idx] as f64 / self.total as f64
     }
 
@@ -251,7 +257,13 @@ mod tests {
 
     #[test]
     fn tc_only_consumers() {
-        for op in [Opcode::And, Opcode::Srl, Opcode::Extbl, Opcode::Ctpop, Opcode::Fadd] {
+        for op in [
+            Opcode::And,
+            Opcode::Srl,
+            Opcode::Extbl,
+            Opcode::Ctpop,
+            Opcode::Fadd,
+        ] {
             assert_eq!(input_req(op, 0), InputReq::TcOnly, "{op}");
         }
     }

@@ -188,7 +188,9 @@ impl Memory {
             *h = h.wrapping_mul(PRIME);
         };
         for page in keys {
-            let Some(bytes) = self.pages.get(&page) else { continue };
+            let Some(bytes) = self.pages.get(&page) else {
+                continue;
+            };
             if bytes.iter().all(|&b| b == 0) {
                 continue;
             }

@@ -187,9 +187,7 @@ impl Opcode {
     /// `true` if the instruction writes a destination register.
     pub fn writes_dest(self) -> bool {
         use Opcode::*;
-        !(self.is_store()
-            || self.is_conditional_branch()
-            || matches!(self, Br | Ret | Halt))
+        !(self.is_store() || self.is_conditional_branch() || matches!(self, Br | Ret | Halt))
     }
 
     /// A short mnemonic for display.

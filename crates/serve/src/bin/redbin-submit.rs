@@ -75,7 +75,10 @@ impl Default for Opts {
             deadline_ms: None,
             no_wait: false,
             json: None,
-            retry: RetryPolicy { retries: 0, retry_after_cap: 30 },
+            retry: RetryPolicy {
+                retries: 0,
+                retry_after_cap: 30,
+            },
         }
     }
 }
@@ -144,7 +147,8 @@ fn spec_from(experiment: &str, opts: &Opts) -> JobSpec {
 fn emit(doc: &Json, path: Option<&std::path::Path>) {
     match path {
         Some(p) => {
-            json::write_file(p, doc).unwrap_or_else(|e| fail(format!("writing {}: {e}", p.display())));
+            json::write_file(p, doc)
+                .unwrap_or_else(|e| fail(format!("writing {}: {e}", p.display())));
             eprintln!("json: wrote {}", p.display());
         }
         None => print!("{}", doc.to_pretty()),
@@ -154,7 +158,11 @@ fn emit(doc: &Json, path: Option<&std::path::Path>) {
 fn submit_and_report(client: &Client, spec: JobSpec, opts: &Opts) -> ExitCode {
     if opts.no_wait {
         match client.submit_with_retry(spec, opts.deadline_ms, opts.retry) {
-            Ok(Response::Accepted { job, cache_hit, state }) => {
+            Ok(Response::Accepted {
+                job,
+                cache_hit,
+                state,
+            }) => {
                 println!(
                     "{job} {} (cache {})",
                     state.name(),
@@ -194,7 +202,11 @@ fn run_batch(client: &Client, manifest_path: &str, opts: &Opts) -> ExitCode {
     let jobs = manifest
         .get("jobs")
         .and_then(Json::as_array)
-        .unwrap_or_else(|| fail(format!("{manifest_path}: expected an object with a `jobs` array")));
+        .unwrap_or_else(|| {
+            fail(format!(
+                "{manifest_path}: expected an object with a `jobs` array"
+            ))
+        });
     let specs: Vec<JobSpec> = jobs
         .iter()
         .map(|j| JobSpec::from_json(j).unwrap_or_else(|e| fail(format!("{manifest_path}: {e}"))))
@@ -238,15 +250,18 @@ fn main() -> ExitCode {
             rest.push(a);
         }
     }
-    let server = server.unwrap_or_else(|| {
-        std::env::var("REDBIN_SERVER").unwrap_or_else(|_| usage())
-    });
+    let server =
+        server.unwrap_or_else(|| std::env::var("REDBIN_SERVER").unwrap_or_else(|_| usage()));
     let client = Client::new(server);
-    let Some(command) = rest.first().cloned() else { usage() };
+    let Some(command) = rest.first().cloned() else {
+        usage()
+    };
 
     match command.as_str() {
         "submit" => {
-            let Some(experiment) = rest.get(1) else { usage() };
+            let Some(experiment) = rest.get(1) else {
+                usage()
+            };
             if ExperimentKind::from_name(experiment).is_err() {
                 fail(format!(
                     "unknown experiment `{experiment}`; try one of {}",
@@ -262,8 +277,8 @@ fn main() -> ExitCode {
         }
         "custom" => {
             let Some(path) = rest.get(1) else { usage() };
-            let source = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| fail(format!("{path}: {e}")));
+            let source =
+                std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("{path}: {e}")));
             let opts = parse_opts(&rest[2..]);
             let mut spec_json = Json::object();
             spec_json.set("experiment", Json::Str("custom".into()));

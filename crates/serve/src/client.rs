@@ -52,13 +52,18 @@ pub struct RetryPolicy {
 impl RetryPolicy {
     /// No retries: the first `retry-after` is returned to the caller.
     pub fn none() -> Self {
-        RetryPolicy { retries: 0, retry_after_cap: 1 }
+        RetryPolicy {
+            retries: 0,
+            retry_after_cap: 1,
+        }
     }
 
     /// The backoff before retry `attempt` (1-based), given the server's
     /// suggested wait. Deterministic in `(seed, attempt)`.
     pub fn backoff(&self, seed: u64, attempt: u32, suggested_secs: u64) -> Duration {
-        let base_ms = suggested_secs.min(self.retry_after_cap).saturating_mul(1000);
+        let base_ms = suggested_secs
+            .min(self.retry_after_cap)
+            .saturating_mul(1000);
         jittered(seed, attempt, base_ms)
     }
 }
@@ -91,7 +96,11 @@ impl std::fmt::Display for ClientError {
             ClientError::Io(e) => write!(f, "io: {e}"),
             ClientError::Protocol(m) => write!(f, "protocol: {m}"),
             ClientError::Server(m) => write!(f, "server: {m}"),
-            ClientError::JobFailed { job, state, message } => {
+            ClientError::JobFailed {
+                job,
+                state,
+                message,
+            } => {
                 write!(f, "job {job} {}: {message}", state.name())
             }
             ClientError::Timeout(m) => write!(f, "timeout: {m}"),
@@ -150,16 +159,17 @@ impl Client {
             .addr
             .to_socket_addrs()
             .map_err(|e| ClientError::Protocol(format!("bad address `{}`: {e}", self.addr)))?;
-        let addr = addrs
-            .next()
-            .ok_or_else(|| ClientError::Protocol(format!("address `{}` resolves to nothing", self.addr)))?;
+        let addr = addrs.next().ok_or_else(|| {
+            ClientError::Protocol(format!("address `{}` resolves to nothing", self.addr))
+        })?;
         let mut line = request.to_line();
         line.push('\n');
         let give_up = Deadline::after(self.io_timeout);
         let mut attempt = 0;
         loop {
             let (response, port) = self.exchange(&addr, &line)?;
-            let busy = matches!(&response, Response::Error { message } if message.starts_with(BUSY));
+            let busy =
+                matches!(&response, Response::Error { message } if message.starts_with(BUSY));
             if !busy || give_up.expired() {
                 return Ok(response);
             }
@@ -187,9 +197,12 @@ impl Client {
         let mut reply = String::new();
         BufReader::new(stream).read_line(&mut reply)?;
         if reply.is_empty() {
-            return Err(ClientError::Protocol("server closed without replying".into()));
+            return Err(ClientError::Protocol(
+                "server closed without replying".into(),
+            ));
         }
-        let response = Response::from_line(&reply).map_err(|e| ClientError::Protocol(e.to_string()))?;
+        let response =
+            Response::from_line(&reply).map_err(|e| ClientError::Protocol(e.to_string()))?;
         Ok((response, port))
     }
 
@@ -199,11 +212,7 @@ impl Client {
     ///
     /// Transport errors only — backpressure comes back as
     /// [`Response::RetryAfter`], not an error.
-    pub fn submit(
-        &self,
-        spec: JobSpec,
-        deadline_ms: Option<u64>,
-    ) -> Result<Response, ClientError> {
+    pub fn submit(&self, spec: JobSpec, deadline_ms: Option<u64>) -> Result<Response, ClientError> {
         self.request(&Request::Submit { spec, deadline_ms })
     }
 
@@ -345,7 +354,11 @@ impl Client {
         // Submit, backing off on explicit backpressure.
         let (job, cache_hit, mut state) = loop {
             match self.submit(spec.clone(), deadline_ms)? {
-                Response::Accepted { job, cache_hit, state } => break (job, cache_hit, state),
+                Response::Accepted {
+                    job,
+                    cache_hit,
+                    state,
+                } => break (job, cache_hit, state),
                 Response::RetryAfter { seconds } => {
                     if give_up.expired() {
                         return Err(ClientError::Timeout("queue stayed full".into()));
@@ -365,11 +378,15 @@ impl Client {
         // Poll to terminal; the server answers as soon as the job ends.
         while !state.is_terminal() {
             if give_up.expired() {
-                return Err(ClientError::Timeout(format!("job {job} still {}", state.name())));
+                return Err(ClientError::Timeout(format!(
+                    "job {job} still {}",
+                    state.name()
+                )));
             }
-            let wait = Duration::from_millis(give_up.remaining().map_or(MAX_POLL_WAIT_MS, |left| {
-                (left.as_millis() as u64).min(MAX_POLL_WAIT_MS)
-            }));
+            let wait =
+                Duration::from_millis(give_up.remaining().map_or(MAX_POLL_WAIT_MS, |left| {
+                    (left.as_millis() as u64).min(MAX_POLL_WAIT_MS)
+                }));
             let asked = Clock::now();
             state = match self.poll_wait(&job, wait)? {
                 Response::Status { state, error, .. } => {
@@ -414,7 +431,10 @@ mod tests {
 
     #[test]
     fn backoff_is_deterministic_bounded_and_jittered() {
-        let policy = RetryPolicy { retries: 3, retry_after_cap: 4 };
+        let policy = RetryPolicy {
+            retries: 3,
+            retry_after_cap: 4,
+        };
         for seed in [0u64, 1, 0xdead_beef] {
             for attempt in 1..=3 {
                 for suggested in [0u64, 1, 2, 60] {
@@ -438,7 +458,10 @@ mod tests {
 
     #[test]
     fn zero_suggestion_means_no_sleep_and_none_means_no_retry() {
-        let policy = RetryPolicy { retries: 5, retry_after_cap: 30 };
+        let policy = RetryPolicy {
+            retries: 5,
+            retry_after_cap: 30,
+        };
         assert_eq!(policy.backoff(1, 1, 0), Duration::from_millis(0));
         assert_eq!(RetryPolicy::none().retries, 0);
     }

@@ -519,9 +519,8 @@ fn worker_loop(shared: &Shared) {
 
         let started = Clock::now();
         let threads = shared.cfg.job_threads;
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            record_spec.run(threads, &cancelled)
-        }));
+        let outcome =
+            std::panic::catch_unwind(AssertUnwindSafe(|| record_spec.run(threads, &cancelled)));
         let wall_seconds = started.seconds();
 
         {
@@ -644,9 +643,7 @@ fn aggregate_stall_causes(body: &Json) -> Vec<(String, u64)> {
             Json::Obj(pairs) => {
                 for (k, val) in pairs {
                     if k == "stall" {
-                        if let Some(Json::Obj(causes)) =
-                            val.get("causes")
-                        {
+                        if let Some(Json::Obj(causes)) = val.get("causes") {
                             for (cause, n) in causes {
                                 if let Some(n) = n.as_u64() {
                                     *totals.entry(cause.clone()).or_insert(0) += n;
@@ -672,7 +669,12 @@ fn aggregate_stall_causes(body: &Json) -> Vec<(String, u64)> {
     }
     StallCause::all()
         .iter()
-        .map(|c| (c.key().to_string(), totals.get(c.key()).copied().unwrap_or(0)))
+        .map(|c| {
+            (
+                c.key().to_string(),
+                totals.get(c.key()).copied().unwrap_or(0),
+            )
+        })
         .collect()
 }
 
@@ -951,7 +953,14 @@ fn verify_custom_program(spec: &JobSpec) -> Result<(), String> {
         .ok_or_else(|| "rejected unsafe program: custom job has no source".to_string())?;
     let prog = redbin::workload::text::parse(src)
         .map_err(|e| format!("rejected unsafe program: does not assemble: {e}"))?;
-    let a = analyze_program(&prog, None, &AnalyzeOptions { lints: false, ..Default::default() });
+    let a = analyze_program(
+        &prog,
+        None,
+        &AnalyzeOptions {
+            lints: false,
+            ..Default::default()
+        },
+    );
     if a.safe() {
         return Ok(());
     }
@@ -1000,7 +1009,12 @@ fn poll_status(inner: &Inner, job: &str) -> Response {
 /// is parked in [`Inner::held`], to be answered by [`finish`] or, once
 /// the wait runs out, by the reaper; the handler is free at once. Any
 /// other poll, or one past [`ServeConfig::held_polls`], is answered now.
-fn hold_poll(stream: TcpStream, job: String, wait: Duration, shared: &Shared) -> std::io::Result<()> {
+fn hold_poll(
+    stream: TcpStream,
+    job: String,
+    wait: Duration,
+    shared: &Shared,
+) -> std::io::Result<()> {
     let mut inner = lock_inner(shared);
     let status = poll_status(&inner, &job);
     let unfinished = matches!(&status, Response::Status { state, .. } if !state.is_terminal());

@@ -83,7 +83,10 @@ fn figure9_twice_hits_cache_byte_identically() {
         .expect("completed log");
     assert_eq!(completed.len(), 1, "one actual execution");
     let entry = &completed[0];
-    assert_eq!(entry.get("experiment").and_then(Json::as_str), Some("figure9"));
+    assert_eq!(
+        entry.get("experiment").and_then(Json::as_str),
+        Some("figure9")
+    );
     assert_eq!(entry.get("state").and_then(Json::as_str), Some("done"));
     let stall = entry.get("stall-causes").expect("per-job stall breakdown");
     assert!(
@@ -116,7 +119,13 @@ fn queue_full_answers_retry_after() {
     let queued = client
         .submit(JobSpec::sleep(3_001), None)
         .expect("second submit");
-    assert!(matches!(queued, Response::Accepted { state: JobState::Queued, .. }));
+    assert!(matches!(
+        queued,
+        Response::Accepted {
+            state: JobState::Queued,
+            ..
+        }
+    ));
 
     let rejected = client
         .submit(JobSpec::sleep(3_002), None)
@@ -133,7 +142,13 @@ fn queue_full_answers_retry_after() {
     let deduped = client
         .submit(JobSpec::sleep(3_001), None)
         .expect("idempotent resubmit");
-    assert!(matches!(deduped, Response::Accepted { state: JobState::Queued, .. }));
+    assert!(matches!(
+        deduped,
+        Response::Accepted {
+            state: JobState::Queued,
+            ..
+        }
+    ));
 
     shut_down(&client, handle);
 }
@@ -158,7 +173,10 @@ fn backpressure_retry_succeeds_once_the_queue_drains() {
     });
     assert!(matches!(
         client.submit(JobSpec::sleep(701), None).expect("second"),
-        Response::Accepted { state: JobState::Queued, .. }
+        Response::Accepted {
+            state: JobState::Queued,
+            ..
+        }
     ));
 
     // Zero retries: the policy degrades to plain submit and surfaces the
@@ -176,7 +194,10 @@ fn backpressure_retry_succeeds_once_the_queue_drains() {
         .submit_with_retry(
             JobSpec::sleep(702),
             None,
-            RetryPolicy { retries: 20, retry_after_cap: 1 },
+            RetryPolicy {
+                retries: 20,
+                retry_after_cap: 1,
+            },
         )
         .expect("retries get an answer");
     assert!(
@@ -195,7 +216,9 @@ fn deadline_expires_queued_and_cancels_running_jobs() {
     });
 
     // Occupy the single worker, with a deadline that will cancel it.
-    let Response::Accepted { job: running_id, .. } = client
+    let Response::Accepted {
+        job: running_id, ..
+    } = client
         .submit(JobSpec::sleep(60_000), Some(400))
         .expect("submit running job")
     else {
@@ -213,12 +236,20 @@ fn deadline_expires_queued_and_cancels_running_jobs() {
         panic!("expected accepted")
     };
     let state = poll_until_terminal(&client, &queued_id, Duration::from_secs(10));
-    assert_eq!(state, JobState::Expired, "queued job expired by its deadline");
+    assert_eq!(
+        state,
+        JobState::Expired,
+        "queued job expired by its deadline"
+    );
 
     // The running sleep job is cooperatively cancelled at its deadline —
     // long before its 60 s nominal duration.
     let state = poll_until_terminal(&client, &running_id, Duration::from_secs(10));
-    assert_eq!(state, JobState::Expired, "running job cancelled at deadline");
+    assert_eq!(
+        state,
+        JobState::Expired,
+        "running job cancelled at deadline"
+    );
     // A cancelled (partial) body must not poison the cache.
     match client.fetch(&running_id) {
         Err(ClientError::Server(msg)) => assert!(msg.contains("expired"), "{msg}"),
@@ -351,7 +382,12 @@ fn unsafe_custom_program_is_rejected_before_queueing() {
     )
     .expect("write bad program");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_redbin-submit"))
-        .args(["--server", client.addr(), "custom", bad_path.to_str().expect("utf-8 path")])
+        .args([
+            "--server",
+            client.addr(),
+            "custom",
+            bad_path.to_str().expect("utf-8 path"),
+        ])
         .output()
         .expect("run redbin-submit");
     assert!(!out.status.success(), "unsafe submission must fail");
@@ -368,7 +404,10 @@ fn unsafe_custom_program_is_rejected_before_queueing() {
         Some(1)
     );
     assert_eq!(jobs.get("submitted").and_then(Json::as_u64), Some(0));
-    assert!(client.metrics().expect("metrics").contains("jobs-rejected-unsafe-program 1"));
+    assert!(client
+        .metrics()
+        .expect("metrics")
+        .contains("jobs-rejected-unsafe-program 1"));
 
     // A provably safe program sails through the same gate and runs on all
     // four 8-wide machines.
@@ -383,7 +422,12 @@ fn unsafe_custom_program_is_rejected_before_queueing() {
     )
     .expect("write good program");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_redbin-submit"))
-        .args(["--server", client.addr(), "custom", good_path.to_str().expect("utf-8 path")])
+        .args([
+            "--server",
+            client.addr(),
+            "custom",
+            good_path.to_str().expect("utf-8 path"),
+        ])
         .output()
         .expect("run redbin-submit");
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
@@ -565,7 +609,13 @@ fn waiting_poll_answers_when_the_job_ends() {
         .expect("poll");
     let elapsed = t0.elapsed();
     assert!(
-        matches!(reply, Response::Status { state: JobState::Done, .. }),
+        matches!(
+            reply,
+            Response::Status {
+                state: JobState::Done,
+                ..
+            }
+        ),
         "{reply:?}"
     );
     // Answered when the 200 ms job ended, not when the 2 s wait ran out.
@@ -595,10 +645,19 @@ fn waiting_poll_shorter_than_the_job_answers_running() {
         .poll_wait(&running, Duration::from_millis(100))
         .expect("poll");
     assert!(
-        matches!(reply, Response::Status { state: JobState::Running, .. }),
+        matches!(
+            reply,
+            Response::Status {
+                state: JobState::Running,
+                ..
+            }
+        ),
         "{reply:?}"
     );
-    assert!(t0.elapsed() >= Duration::from_millis(100), "the poll was held");
+    assert!(
+        t0.elapsed() >= Duration::from_millis(100),
+        "the poll was held"
+    );
 
     // A queued job that the reaper expires wakes its waiting poll too.
     let Response::Accepted { job: queued, .. } = client
@@ -612,17 +671,33 @@ fn waiting_poll_shorter_than_the_job_answers_running() {
         .poll_wait(&queued, Duration::from_millis(MAX_POLL_WAIT_MS))
         .expect("poll");
     assert!(
-        matches!(reply, Response::Status { state: JobState::Expired, .. }),
+        matches!(
+            reply,
+            Response::Status {
+                state: JobState::Expired,
+                ..
+            }
+        ),
         "{reply:?}"
     );
-    assert!(t0.elapsed() < Duration::from_millis(1_200), "{:?}", t0.elapsed());
+    assert!(
+        t0.elapsed() < Duration::from_millis(1_200),
+        "{:?}",
+        t0.elapsed()
+    );
 
     // The cancelled running job wakes its waiting poll as it ends.
     let reply = client
         .poll_wait(&running, Duration::from_millis(MAX_POLL_WAIT_MS))
         .expect("poll");
     assert!(
-        matches!(reply, Response::Status { state: JobState::Expired, .. }),
+        matches!(
+            reply,
+            Response::Status {
+                state: JobState::Expired,
+                ..
+            }
+        ),
         "{reply:?}"
     );
     shut_down(&client, handle);
@@ -697,7 +772,10 @@ fn connection_flood_gets_busy_and_the_server_recovers() {
         .join()
         .expect("stats thread")
         .expect("busy is retried");
-    assert!(waited >= Duration::from_millis(250), "answered during the flood after {waited:?}");
+    assert!(
+        waited >= Duration::from_millis(250),
+        "answered during the flood after {waited:?}"
+    );
     shut_down(&client, handle);
 }
 
@@ -726,7 +804,9 @@ fn client_resends_a_request_refused_busy() {
     }
     let requests = script.join().expect("script");
     assert!(
-        requests[..4].iter().all(|(r, _)| r.contains(r#""type":"stats""#)),
+        requests[..4]
+            .iter()
+            .all(|(r, _)| r.contains(r#""type":"stats""#)),
         "{requests:?}"
     );
     assert!(requests[4].0.contains(r#""type":"poll""#));
@@ -769,13 +849,19 @@ fn run_to_completion_waits_the_interval_after_an_early_answer() {
 fn oversized_request_line_gets_an_error() {
     let (client, handle) = start_server(ServeConfig::default());
     // One byte over the cap is refused before it is parsed…
-    let reply = raw_exchange(client.addr(), &format!("{}\n", "x".repeat(MAX_REQUEST_BYTES + 1)));
+    let reply = raw_exchange(
+        client.addr(),
+        &format!("{}\n", "x".repeat(MAX_REQUEST_BYTES + 1)),
+    );
     match Response::from_line(&reply).expect("an envelope") {
         Response::Error { message } => assert!(message.contains("request too large"), "{message}"),
         other => panic!("expected a too-large error, got {other:?}"),
     }
     // …while a line at the cap is read whole and fails only as JSON.
-    let reply = raw_exchange(client.addr(), &format!("{}\n", "x".repeat(MAX_REQUEST_BYTES)));
+    let reply = raw_exchange(
+        client.addr(),
+        &format!("{}\n", "x".repeat(MAX_REQUEST_BYTES)),
+    );
     match Response::from_line(&reply).expect("an envelope") {
         Response::Error { message } => assert!(message.contains("json parse error"), "{message}"),
         other => panic!("expected a parse error, got {other:?}"),
@@ -802,7 +888,9 @@ fn scripted_server(
                 let (mut stream, _) = listener.accept().expect("accept");
                 let arrived = start.elapsed();
                 let mut line = String::new();
-                BufReader::new(&stream).read_line(&mut line).expect("request");
+                BufReader::new(&stream)
+                    .read_line(&mut line)
+                    .expect("request");
                 writeln!(stream, "{}", answer.to_line()).expect("answer");
                 (line, arrived)
             })

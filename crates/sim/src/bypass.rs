@@ -257,7 +257,13 @@ impl BypassModel {
     /// On the RB-full machine, redundant consumers see continuous
     /// availability because the redundant register file backs up BYP-1;
     /// only the first cycle is the bypass path proper.
-    pub fn from_bypass(&self, r: &ResultTiming, need_tc: bool, consumer_cluster: usize, e: u64) -> bool {
+    pub fn from_bypass(
+        &self,
+        r: &ResultTiming,
+        need_tc: bool,
+        consumer_cluster: usize,
+        e: u64,
+    ) -> bool {
         if r.rb && !need_tc && self.model == CoreModel::RbFull {
             return e == r.ready + 1 + self.xdelay(r, consumer_cluster);
         }
@@ -446,17 +452,43 @@ mod tests {
         // to production, then BYP-1, then a two-cycle Hole, then the RF.
         let m = BypassModel::new(&MachineConfig::rb_limited(4));
         let r = rb_result(10);
-        assert_eq!(m.unavailable_reason(&r, false, 0, 9), Some(UnavailableReason::InFlight));
-        assert_eq!(m.unavailable_reason(&r, false, 0, 10), Some(UnavailableReason::InFlight));
+        assert_eq!(
+            m.unavailable_reason(&r, false, 0, 9),
+            Some(UnavailableReason::InFlight)
+        );
+        assert_eq!(
+            m.unavailable_reason(&r, false, 0, 10),
+            Some(UnavailableReason::InFlight)
+        );
         assert_eq!(m.unavailable_reason(&r, false, 0, 11), None, "BYP-1");
-        assert_eq!(m.unavailable_reason(&r, false, 0, 12), Some(UnavailableReason::Hole));
-        assert_eq!(m.unavailable_reason(&r, false, 0, 13), Some(UnavailableReason::Hole));
-        assert_eq!(m.unavailable_reason(&r, false, 0, 14), None, "register file");
+        assert_eq!(
+            m.unavailable_reason(&r, false, 0, 12),
+            Some(UnavailableReason::Hole)
+        );
+        assert_eq!(
+            m.unavailable_reason(&r, false, 0, 13),
+            Some(UnavailableReason::Hole)
+        );
+        assert_eq!(
+            m.unavailable_reason(&r, false, 0, 14),
+            None,
+            "register file"
+        );
         // 2's-complement consumer of the same result: the wait before the
         // conversion completes is ConversionWait, not a hole.
-        assert_eq!(m.unavailable_reason(&r, true, 0, 11), Some(UnavailableReason::ConversionWait));
-        assert_eq!(m.unavailable_reason(&r, true, 0, 12), Some(UnavailableReason::ConversionWait));
-        assert_eq!(m.unavailable_reason(&r, true, 0, 13), None, "BYP-3 post-conversion");
+        assert_eq!(
+            m.unavailable_reason(&r, true, 0, 11),
+            Some(UnavailableReason::ConversionWait)
+        );
+        assert_eq!(
+            m.unavailable_reason(&r, true, 0, 12),
+            Some(UnavailableReason::ConversionWait)
+        );
+        assert_eq!(
+            m.unavailable_reason(&r, true, 0, 13),
+            None,
+            "BYP-3 post-conversion"
+        );
     }
 
     #[test]
@@ -478,7 +510,10 @@ mod tests {
         let cfg = MachineConfig::ideal(4).with_bypass(BypassLevels::without(&[2]));
         let m = BypassModel::new(&cfg);
         let r = tc_result(10);
-        assert_eq!(m.unavailable_reason(&r, false, 0, 12), Some(UnavailableReason::Hole));
+        assert_eq!(
+            m.unavailable_reason(&r, false, 0, 12),
+            Some(UnavailableReason::Hole)
+        );
         assert_eq!(m.unavailable_reason(&r, false, 0, 11), None);
         assert_eq!(m.unavailable_reason(&r, false, 0, 13), None);
     }
@@ -506,16 +541,22 @@ mod tests {
         let cfg = MachineConfig::rb_full(4).with_rb_rf_only();
         let m = BypassModel::new(&cfg);
         let r = rb_result(10); // tc_ready = 12
-        // Redundant consumers still have the RB register file.
+                               // Redundant consumers still have the RB register file.
         for e in 11..20 {
             assert!(m.available(&r, false, 0, e), "cycle {e}");
         }
         // TC consumers get exactly one discrete slot (BYP-3 after CV2) —
         // no register file ever serves the converted value.
         assert!(!m.available(&r, true, 0, 12));
-        assert!(m.available(&r, true, 0, 13), "the single post-conversion slot");
+        assert!(
+            m.available(&r, true, 0, 13),
+            "the single post-conversion slot"
+        );
         for e in 14..40 {
-            assert!(!m.available(&r, true, 0, e), "cycle {e} must be a hole forever");
+            assert!(
+                !m.available(&r, true, 0, e),
+                "cycle {e} must be a hole forever"
+            );
         }
         // With the third level also removed the operand is unreachable.
         let cfg = MachineConfig::rb_full(4)
@@ -523,7 +564,10 @@ mod tests {
             .with_bypass(BypassLevels::without(&[3]));
         let m = BypassModel::new(&cfg);
         for e in 0..64 {
-            assert!(!m.available(&r, true, 0, e), "cycle {e} must be unreachable");
+            assert!(
+                !m.available(&r, true, 0, e),
+                "cycle {e} must be unreachable"
+            );
         }
     }
 

@@ -298,7 +298,7 @@ mod tests {
     #[test]
     fn lru_within_a_set() {
         let mut c = Cache::new(256, 2, 64); // 2 sets × 2 ways
-        // Three lines mapping to set 0: 0, 256, 512 (line 0, 4, 8 → set 0).
+                                            // Three lines mapping to set 0: 0, 256, 512 (line 0, 4, 8 → set 0).
         assert!(!is_hit(c.access(0)));
         c.set_fill(0, 0);
         assert!(!is_hit(c.access(256)));

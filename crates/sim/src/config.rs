@@ -607,7 +607,10 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::UnsupportedWidth(w) => {
-                write!(f, "unsupported machine width {w}: the paper studies 4- and 8-wide")
+                write!(
+                    f,
+                    "unsupported machine width {w}: the paper studies 4- and 8-wide"
+                )
             }
         }
     }

@@ -427,10 +427,15 @@ impl Simulator {
         // must each stay in flight (cause constant) or be continuously
         // available (ignored by the attribution) over the whole stretch.
         for s in 0..self.cfg.schedulers {
-            let Some((w, _)) = self.oldest_blocked(s, u64::MAX, None) else { continue };
+            let Some((w, _)) = self.oldest_blocked(s, u64::MAX, None) else {
+                continue;
+            };
             let Some(entry) = self.entry(w) else { continue };
             for src in entry.srcs.as_slice() {
-                let Some(r) = src.producer.and_then(|p| self.entry(p)).and_then(|p| p.timing)
+                let Some(r) = src
+                    .producer
+                    .and_then(|p| self.entry(p))
+                    .and_then(|p| p.timing)
                 else {
                     continue;
                 };
@@ -517,8 +522,8 @@ impl Simulator {
                 if d.inst.op.is_conditional_branch() {
                     self.stats.branches += 1;
                 }
-                mispredicted = pred.taken != actual_taken
-                    || (actual_taken && pred.target != Some(d.next_pc));
+                mispredicted =
+                    pred.taken != actual_taken || (actual_taken && pred.target != Some(d.next_pc));
                 blocks += 1;
             }
 
@@ -546,7 +551,9 @@ impl Simulator {
         let mut dispatched = 0usize;
         self.window_blocked = false;
         while dispatched < self.cfg.front_width {
-            let Some(front) = self.fetch_q.front() else { break };
+            let Some(front) = self.fetch_q.front() else {
+                break;
+            };
             if front.ready > self.cycle {
                 break;
             }
@@ -564,7 +571,9 @@ impl Simulator {
                 self.window_blocked = true;
                 break;
             }
-            let Some(f) = self.fetch_q.pop_front() else { break };
+            let Some(f) = self.fetch_q.pop_front() else {
+                break;
+            };
             self.steer_counter += 1;
             self.rs_free[scheduler] -= 1;
             let cluster = self.cfg.cluster_of(scheduler);
@@ -764,7 +773,9 @@ impl Simulator {
     /// allocated a fresh seq vector even with no stores in flight).
     fn resolve_pending_stores(&mut self) {
         for _ in 0..self.pending_stores.len() {
-            let Some(seq) = self.pending_stores.pop_front() else { break };
+            let Some(seq) = self.pending_stores.pop_front() else {
+                break;
+            };
             self.resolve_store_data(seq);
             let unresolved = matches!(
                 self.entry(seq),
@@ -815,7 +826,9 @@ impl Simulator {
             let mut first_unready: Option<(u64, bool)> = None;
             let mut i = 0;
             while picked < 2 {
-                let Some(&seq) = self.candidates[s].get(i) else { break };
+                let Some(&seq) = self.candidates[s].get(i) else {
+                    break;
+                };
                 let Some(entry) = self.entry(seq) else {
                     self.candidates[s].remove(i);
                     continue;
@@ -958,7 +971,9 @@ impl Simulator {
     /// sorted (idempotent): selection must stay oldest-first to match the
     /// reference scheduler's scan order.
     fn insert_candidate(&mut self, s: usize, seq: u64) {
-        let Some(v) = self.candidates.get_mut(s) else { return };
+        let Some(v) = self.candidates.get_mut(s) else {
+            return;
+        };
         if let Err(pos) = v.binary_search(&seq) {
             v.insert(pos, seq);
         }
@@ -984,7 +999,9 @@ impl Simulator {
             },
             None => 0,
         };
-        let Some(cm) = self.entry_mut(cseq) else { return };
+        let Some(cm) = self.entry_mut(cseq) else {
+            return;
+        };
         cm.min_ready = cm.min_ready.max(floor);
         cm.wait_count = cm.wait_count.saturating_sub(1);
         if cm.wait_count == 0 && !self.reference_sched {
@@ -1093,8 +1110,9 @@ impl Simulator {
                 // (availability unknown, so it binds over everything).
                 None => (u64::MAX, StallCause::OperandWait),
                 Some(r) => {
-                    let reason =
-                        self.bypass.unavailable_reason(r, src.need_tc, entry.cluster, e);
+                    let reason = self
+                        .bypass
+                        .unavailable_reason(r, src.need_tc, entry.cluster, e);
                     let Some(reason) = reason else { continue };
                     let at = self.bypass.earliest(r, src.need_tc, entry.cluster, e);
                     let cause = match reason {
@@ -1197,7 +1215,9 @@ impl Simulator {
         }
 
         let issue_cycle = self.cycle;
-        let Some(entry) = self.entry_mut(seq) else { return };
+        let Some(entry) = self.entry_mut(seq) else {
+            return;
+        };
         entry.state = State::Issued;
         entry.dcache_miss = dcache_miss;
         entry.timing = timing;
@@ -1236,7 +1256,9 @@ impl Simulator {
                 regfile_ops += 1;
                 continue;
             };
-            let Some(r) = prod.timing.as_ref() else { continue };
+            let Some(r) = prod.timing.as_ref() else {
+                continue;
+            };
             let earliest = self.bypass.earliest(r, src.need_tc, cluster, 0);
             let bypassed = self.bypass.from_bypass(r, src.need_tc, cluster, e);
             if bypassed {
@@ -1288,7 +1310,9 @@ impl Simulator {
             let complete_at = head.complete_at;
             if op.is_store() {
                 self.resolve_store_data(seq);
-                let Some(t) = self.sq.completion(seq) else { break };
+                let Some(t) = self.sq.completion(seq) else {
+                    break;
+                };
                 if t + 1 > self.cycle {
                     break;
                 }
@@ -1298,7 +1322,9 @@ impl Simulator {
             } else if complete_at > self.cycle {
                 break;
             }
-            let Some(head) = self.ring.pop_front() else { break };
+            let Some(head) = self.ring.pop_front() else {
+                break;
+            };
             self.base_seq += 1;
             self.stats.retired += 1;
             self.stats.table1.record(head.d.inst.op);
@@ -1347,7 +1373,12 @@ mod tests {
     /// A loop whose body is `body` instructions produced by `f(i)`,
     /// iterated `iters` times (so the icache stays warm, as in real code).
     fn looped(body: usize, iters: i64, f: impl Fn(usize) -> Inst) -> Program {
-        let mut code = vec![Inst::op(Opcode::Addq, Reg::R31, Operand::Imm(iters), Reg(20))];
+        let mut code = vec![Inst::op(
+            Opcode::Addq,
+            Reg::R31,
+            Operand::Imm(iters),
+            Reg(20),
+        )];
         for i in 0..body {
             code.push(f(i));
         }
@@ -1369,7 +1400,12 @@ mod tests {
         // Truly independent adds (source r31, rotating destinations):
         // IPC is purely width-bound.
         looped(32, n as i64 / 32, |i| {
-            Inst::op(Opcode::Addq, Reg::R31, Operand::Imm(i as i64), Reg(1 + (i % 16) as u8))
+            Inst::op(
+                Opcode::Addq,
+                Reg::R31,
+                Operand::Imm(i as i64),
+                Reg(1 + (i % 16) as u8),
+            )
         })
     }
 
@@ -1471,7 +1507,11 @@ mod tests {
         let p = Benchmark::Gap.program(Scale::Test);
         let cfg = MachineConfig::rb_full(8).with_datapath(DatapathMode::Faithful);
         let stats = run(cfg, &p);
-        assert!(stats.fidelity_checks > 1000, "checks: {}", stats.fidelity_checks);
+        assert!(
+            stats.fidelity_checks > 1000,
+            "checks: {}",
+            stats.fidelity_checks
+        );
     }
 
     #[test]
@@ -1530,7 +1570,10 @@ mod tests {
         // `ldq r1, -8(r31)` reads the last quadword below 2^64; the store
         // queue must not overflow computing where its bytes end. The
         // second program adds stores that it must forward from or wait on.
-        let top = Program::new(vec![Inst::mem(Opcode::Ldq, Reg(1), Reg::R31, -8), Inst::halt()]);
+        let top = Program::new(vec![
+            Inst::mem(Opcode::Ldq, Reg(1), Reg::R31, -8),
+            Inst::halt(),
+        ]);
         let with_stores = Program::new(vec![
             Inst::op(Opcode::Addq, Reg::R31, Operand::Imm(0x1234), Reg(2)),
             Inst::mem(Opcode::Stq, Reg(2), Reg::R31, -8),
@@ -1549,8 +1592,14 @@ mod tests {
                 assert_eq!(arch.diff(&emu.arch_state()), None);
                 if has_stores {
                     // A wrapped end would make both stores look disjoint.
-                    assert!(stats.store_forwards > 0, "the stq forwards to the first ldq");
-                    assert!(stats.load_blocks > 0, "the stl partially overlaps the second");
+                    assert!(
+                        stats.store_forwards > 0,
+                        "the stq forwards to the first ldq"
+                    );
+                    assert!(
+                        stats.load_blocks > 0,
+                        "the stl partially overlaps the second"
+                    );
                 }
                 let reference = Simulator::new(cfg, &p)
                     .with_reference_scheduler()

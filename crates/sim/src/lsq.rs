@@ -240,12 +240,21 @@ mod tests {
     fn forwarding_works_at_and_across_the_top_of_the_address_space() {
         // The last quadword below 2^64: the load ends exactly at 2^64.
         let mut q = queue_with_store(u64::MAX - 7, 8);
-        assert_eq!(q.check_load(9, u64::MAX - 7, 8, 20), LoadDecision::Forward(21));
-        assert_eq!(q.check_load(9, u64::MAX - 3, 4, 20), LoadDecision::Forward(21));
+        assert_eq!(
+            q.check_load(9, u64::MAX - 7, 8, 20),
+            LoadDecision::Forward(21)
+        );
+        assert_eq!(
+            q.check_load(9, u64::MAX - 3, 4, 20),
+            LoadDecision::Forward(21)
+        );
         assert_eq!(q.check_load(9, u64::MAX, 1, 20), LoadDecision::Forward(21));
         // A store that wraps past 2^64 covers bytes on both sides of it.
         let mut q = queue_with_store(u64::MAX - 3, 8);
-        assert_eq!(q.check_load(9, u64::MAX - 1, 4, 20), LoadDecision::Forward(21));
+        assert_eq!(
+            q.check_load(9, u64::MAX - 1, 4, 20),
+            LoadDecision::Forward(21)
+        );
         assert_eq!(q.check_load(9, 0, 4, 20), LoadDecision::Forward(21));
         // Bytes just outside either end are disjoint from it.
         assert_eq!(q.check_load(9, 4, 4, 20), LoadDecision::Cache);

@@ -46,7 +46,11 @@ impl TraceEntry {
             return Some("EXE");
         }
         if self.rb && cycle > self.exec_end && cycle <= self.tc_ready {
-            return Some(if cycle == self.exec_end + 1 { "CV1" } else { "CV2" });
+            return Some(if cycle == self.exec_end + 1 {
+                "CV1"
+            } else {
+                "CV2"
+            });
         }
         if cycle == self.retire {
             return Some("WB");

@@ -149,7 +149,12 @@ fn dependence_aware_steering_keeps_chains_together() {
     // chain-heavy kernels.
     let mut better = 0;
     let mut total = 0;
-    for b in [Benchmark::Gap, Benchmark::Compress95, Benchmark::Vpr, Benchmark::Li] {
+    for b in [
+        Benchmark::Gap,
+        Benchmark::Compress95,
+        Benchmark::Vpr,
+        Benchmark::Li,
+    ] {
         let program = b.program(Scale::Test);
         let rr = Simulator::new(MachineConfig::rb_limited(8), &program)
             .run()

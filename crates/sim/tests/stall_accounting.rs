@@ -27,7 +27,10 @@ fn every_slot_is_charged_on_every_benchmark_and_model() {
                 stats.cycles,
                 stats.width,
             );
-            assert_eq!(stats.stall.used, stats.retired, "{b:?}/{model}: every retired instruction issued exactly once");
+            assert_eq!(
+                stats.stall.used, stats.retired,
+                "{b:?}/{model}: every retired instruction issued exactly once"
+            );
         }
     }
 }
@@ -64,7 +67,12 @@ fn ideal_machine_never_charges_bypass_holes_or_conversions() {
 fn dependent_code_charges_operand_wait_and_parallel_code_runs_clean() {
     use redbin_isa::{Inst, Opcode, Operand, Program, Reg};
     // A long serial add chain: most unused slots are operand waits.
-    let mut code = vec![Inst::op(Opcode::Addq, Reg::R31, Operand::Imm(4000), Reg(20))];
+    let mut code = vec![Inst::op(
+        Opcode::Addq,
+        Reg::R31,
+        Operand::Imm(4000),
+        Reg(20),
+    )];
     for _ in 0..32 {
         code.push(Inst::op(Opcode::Addq, Reg(1), Operand::Imm(1), Reg(1)));
     }
@@ -91,7 +99,9 @@ fn rb_limited_charges_holes_that_rb_full_does_not() {
     let mut total_full = 0u64;
     let mut total_limited = 0u64;
     for b in Benchmark::all() {
-        total_full += run(CoreModel::RbFull, 8, b).stall.count(StallCause::BypassHole);
+        total_full += run(CoreModel::RbFull, 8, b)
+            .stall
+            .count(StallCause::BypassHole);
         total_limited += run(CoreModel::RbLimited, 8, b)
             .stall
             .count(StallCause::BypassHole);

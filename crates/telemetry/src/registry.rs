@@ -11,8 +11,9 @@ use std::fmt::Write as _;
 
 /// Default bucket upper bounds for time-valued histograms, in
 /// milliseconds: roughly logarithmic from 1 ms to one minute.
-pub const DEFAULT_TIME_BOUNDS_MS: &[u64] =
-    &[1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10_000, 30_000, 60_000];
+pub const DEFAULT_TIME_BOUNDS_MS: &[u64] = &[
+    1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10_000, 30_000, 60_000,
+];
 
 /// A fixed-bucket histogram over `u64` samples.
 ///
@@ -175,7 +176,8 @@ impl MetricsRegistry {
     /// Registers histogram `name` with the given bounds if absent.
     pub fn register_histogram(&mut self, name: &str, bounds: &[u64]) {
         if !self.histograms.iter().any(|(n, _)| n == name) {
-            self.histograms.push((name.to_string(), Histogram::new(bounds)));
+            self.histograms
+                .push((name.to_string(), Histogram::new(bounds)));
         }
     }
 

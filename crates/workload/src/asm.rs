@@ -9,7 +9,12 @@ use redbin_isa::{Inst, Opcode, Operand, Program, Reg};
 #[derive(Debug, Clone)]
 enum Pending {
     Done(Inst),
-    Branch { op: Opcode, ra: Reg, rc: Reg, label: String },
+    Branch {
+        op: Opcode,
+        ra: Reg,
+        rc: Reg,
+        label: String,
+    },
 }
 
 /// A small assembler with labels and builder-style helpers.

@@ -263,7 +263,9 @@ impl Gen<'_> {
     /// A compare feeding a forward branch over a short arm.
     fn block_diamond(&mut self) {
         let c = self.sreg();
-        let cmp = *self.rng.pick(&[Opcode::Cmplt, Opcode::Cmpeq, Opcode::Cmpule]);
+        let cmp = *self
+            .rng
+            .pick(&[Opcode::Cmplt, Opcode::Cmpeq, Opcode::Cmpule]);
         let ra = self.sreg();
         let rb = self.operand();
         self.a.op(cmp, ra, rb, c);
@@ -287,7 +289,9 @@ impl Gen<'_> {
         let end = self.fresh("e");
         let c1 = self.sreg();
         let c2 = self.sreg();
-        let cond = *self.rng.pick(&[Opcode::Cmplt, Opcode::Cmpult, Opcode::Cmpeq]);
+        let cond = *self
+            .rng
+            .pick(&[Opcode::Cmplt, Opcode::Cmpult, Opcode::Cmpeq]);
         let (a1, a2) = (self.sreg(), self.sreg());
         self.a.op(cond, a1, Operand::Reg(a2), c1);
         self.a.bne(c1, mid.clone());
@@ -583,7 +587,10 @@ mod tests {
                 back.initial_memory().digest(),
                 "seed {seed:#x} data image differs"
             );
-            assert_eq!(prog.init_regs, back.init_regs, "seed {seed:#x} init regs differ");
+            assert_eq!(
+                prog.init_regs, back.init_regs,
+                "seed {seed:#x} init regs differ"
+            );
         });
     }
 

@@ -99,7 +99,7 @@ pub fn crafty(units: u64) -> Program {
     a.ldq(r(8), r(7), 0); // our pieces
     a.s8addq(r(6), r(2), r(9));
     a.ldq(r(10), r(9), 0); // their pieces
-    // Attack-set algebra.
+                           // Attack-set algebra.
     a.op(Opcode::Sll, r(8), 8, r(11)); // pawn pushes
     a.op(Opcode::Bic, r(11), r(10), r(11)); // not blocked
     a.op(Opcode::Srl, r(8), 7, r(12)); // captures left
@@ -153,7 +153,7 @@ pub fn eon(units: u64) -> Program {
     a.ldq(r(9), r(5), 24); // x'
     a.ldq(r(10), r(5), 32); // y'
     a.ldq(r(11), r(5), 40); // z'
-    // Two independent dot products for ILP.
+                            // Two independent dot products for ILP.
     a.op(Opcode::Fmul, r(6), r(9), r(12));
     a.op(Opcode::Fmul, r(7), r(10), r(13));
     a.op(Opcode::Fmul, r(8), r(11), r(14));
@@ -311,7 +311,7 @@ pub fn mcf(units: u64) -> Program {
     let mut image = Vec::with_capacity(nodes * 64);
     for nx in next.iter().take(nodes) {
         image.extend_from_slice(&(TAB + nx * 64).to_le_bytes()); // next ptr
-        // Most reduced costs are positive; ~12% are negative candidates.
+                                                                 // Most reduced costs are positive; ~12% are negative candidates.
         let cost = below(&mut rng, 1000) as i64 - 120;
         image.extend_from_slice(&(cost as u64).to_le_bytes()); // cost
         image.extend_from_slice(&below(&mut rng, 100).to_le_bytes()); // flow
@@ -437,7 +437,7 @@ pub fn twolf(units: u64) -> Program {
     a.ldq(r(10), r(7), 8); // ya
     a.ldq(r(11), r(8), 0); // xb
     a.ldq(r(12), r(8), 8); // yb
-    // |xa-xb| + |ya-yb| via cmov-based abs.
+                           // |xa-xb| + |ya-yb| via cmov-based abs.
     a.subq(r(9), r(11), r(13));
     a.subq(r(31), r(13), r(14));
     a.op(Opcode::Cmovlt, r(13), r(14), r(13));
@@ -471,7 +471,9 @@ pub fn vortex2k(units: u64) -> Program {
 pub fn vpr(units: u64) -> Program {
     let dim = 128u64; // 128×128 grid of quadword costs
     let mut rng = Rng::new(0x7492);
-    let grid: Vec<u64> = (0..dim * dim).map(|_| below(&mut rng, 10_000) + 1).collect();
+    let grid: Vec<u64> = (0..dim * dim)
+        .map(|_| below(&mut rng, 10_000) + 1)
+        .collect();
     let mut a = Asm::new("vpr");
     a.data_u64(TAB, &grid);
     a.init_reg(r(1), TAB);
@@ -487,7 +489,7 @@ pub fn vpr(units: u64) -> Program {
     a.ldq(r(7), r(5), -8); // west
     a.ldq(r(8), r(5), (dim as i64) * 8); // south
     a.ldq(r(9), r(5), -(dim as i64) * 8); // north
-    // min4 with compare+cmov; track the displacement of the minimum.
+                                          // min4 with compare+cmov; track the displacement of the minimum.
     a.li(r(10), 1); // disp for east
     a.op(Opcode::Cmpult, r(7), r(6), r(11));
     a.op(Opcode::Cmoveq, r(11), r(6), r(12)); // r12 = min(e, w) value

@@ -92,7 +92,7 @@ pub fn gcc_like(name: &str, units: u64, nodes: u64, seed: u64) -> Program {
     a.addq(r(1), r(6), r(6)); // node address
     a.ldq(r(7), r(6), 0); // type
     a.ldq(r(8), r(6), 8); // val
-    // Dispatch tree on type 0..4.
+                          // Dispatch tree on type 0..4.
     a.op(Opcode::Cmpeq, r(7), 0, r(9));
     a.bne(r(9), "t0");
     a.op(Opcode::Cmpeq, r(7), 1, r(9));
@@ -329,7 +329,7 @@ pub fn m88ksim(units: u64) -> Program {
     a.op(Opcode::Srl, r(6), 13, r(10));
     a.op(Opcode::And, r(10), 15, r(10)); // rd
     a.op(Opcode::Srl, r(6), 18, r(11)); // imm
-    // Read simulated sources.
+                                        // Read simulated sources.
     a.op(Opcode::And, r(8), 15, r(8));
     a.s8addq(r(8), r(2), r(12));
     a.ldq(r(13), r(12), 0);
@@ -337,7 +337,7 @@ pub fn m88ksim(units: u64) -> Program {
     a.s8addq(r(9), r(2), r(12));
     a.ldq(r(14), r(12), 0);
     a.s8addq(r(10), r(2), r(15)); // dest slot address
-    // Dispatch.
+                                  // Dispatch.
     a.op(Opcode::Cmpeq, r(7), 0, r(16));
     a.bne(r(16), "h_add");
     a.op(Opcode::Cmpeq, r(7), 1, r(16));
@@ -405,7 +405,7 @@ pub fn perl_like(name: &str, units: u64, seed: u64, table: u64) -> Program {
     a.label("word");
     a.s8addq(r(3), r(1), r(6));
     a.ldq(r(7), r(6), 0); // the word
-    // Hash its bytes: h = h*33 ^ byte, 8 iterations.
+                          // Hash its bytes: h = h*33 ^ byte, 8 iterations.
     a.li(r(8), 5381);
     a.li(r(9), 0); // byte index
     a.label("hash");

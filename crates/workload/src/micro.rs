@@ -19,7 +19,12 @@ use crate::kernels::permutation_cycle;
 /// Register conventions: `r20` is the loop counter; the body may use
 /// `r1`–`r19` freely.
 pub fn looped(body: usize, iters: i64, f: impl Fn(usize) -> Inst) -> Program {
-    let mut code = vec![Inst::op(Opcode::Addq, Reg::R31, Operand::Imm(iters), Reg(20))];
+    let mut code = vec![Inst::op(
+        Opcode::Addq,
+        Reg::R31,
+        Operand::Imm(iters),
+        Reg(20),
+    )];
     for i in 0..body {
         code.push(f(i));
     }

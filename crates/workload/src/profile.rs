@@ -165,7 +165,10 @@ mod tests {
         let program = Benchmark::Compress95.program(Scale::Test);
         let p = Profile::measure(&program, 10_000_000).expect("runs");
         assert!(p.dynamic_insts > 1000);
-        assert!(p.class_fraction(LatencyClass::Mem) > 0.1, "compress loads/stores");
+        assert!(
+            p.class_fraction(LatencyClass::Mem) > 0.1,
+            "compress loads/stores"
+        );
         assert!(p.avg_block > 2.0 && p.avg_block < 20.0);
         assert!(p.working_set_bytes() > 2_000);
         let total: f64 = LatencyClass::all()

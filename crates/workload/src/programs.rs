@@ -84,7 +84,10 @@ impl WholeProgram {
 
     /// Looks a program up by [`name`](Self::name).
     pub fn from_name(name: &str) -> Option<WholeProgram> {
-        WholeProgram::all().iter().copied().find(|p| p.name() == name)
+        WholeProgram::all()
+            .iter()
+            .copied()
+            .find(|p| p.name() == name)
     }
 
     /// The assembly source text.
@@ -364,7 +367,9 @@ fn qoi_encode(pixels: &[[u8; 4]]) -> Vec<u8> {
                 let db_dg = db.wrapping_sub(dg);
                 let small = |d: i8| (-2..=1).contains(&d);
                 if small(dr) && small(dg) && small(db) {
-                    out.push(0x40 | (((dr + 2) as u8) << 4) | (((dg + 2) as u8) << 2) | (db + 2) as u8);
+                    out.push(
+                        0x40 | (((dr + 2) as u8) << 4) | (((dg + 2) as u8) << 2) | (db + 2) as u8,
+                    );
                 } else if (-32..=31).contains(&dg)
                     && (-8..=7).contains(&dr_dg)
                     && (-8..=7).contains(&db_dg)

@@ -20,9 +20,7 @@ impl Suite {
     pub fn benchmarks(self) -> &'static [Benchmark] {
         use Benchmark::*;
         match self {
-            Suite::Spec95 => &[
-                Compress95, Gcc95, Go, Ijpeg, Li, M88ksim, Perl, Vortex95,
-            ],
+            Suite::Spec95 => &[Compress95, Gcc95, Go, Ijpeg, Li, M88ksim, Perl, Vortex95],
             Suite::Spec2000 => &[
                 Bzip2, Crafty, Eon, Gap, Gcc00, Gzip, Mcf, Parser, Perlbmk, Twolf, Vortex2k, Vpr,
             ],
@@ -263,10 +261,7 @@ mod tests {
             let retired = emu
                 .run(20_000_000)
                 .unwrap_or_else(|e| panic!("{b:?} failed: {e}"));
-            assert!(
-                retired > 1_000,
-                "{b:?} retired only {retired} instructions"
-            );
+            assert!(retired > 1_000, "{b:?} retired only {retired} instructions");
         }
     }
 

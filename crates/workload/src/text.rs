@@ -298,7 +298,11 @@ struct PendingInst {
 /// Deferred data emission (values resolve in pass 2).
 enum Payload {
     /// Little-endian integers of `size` bytes each.
-    Words { size: usize, items: Vec<Arg>, pos: Pos },
+    Words {
+        size: usize,
+        items: Vec<Arg>,
+        pos: Pos,
+    },
     /// Literal bytes (strings, fills) — already resolved.
     Bytes(Vec<u8>),
 }
@@ -420,15 +424,10 @@ impl<'a> Assembler<'a> {
                     line,
                     column: text.len() - trimmed.len() + 1,
                 };
-                let path = parse_string_literal(rest.trim(), pos.column, |c, m| {
-                    self.err(pos, c, m)
-                })?;
+                let path =
+                    parse_string_literal(rest.trim(), pos.column, |c, m| self.err(pos, c, m))?;
                 if stack.iter().any(|p| p == &path) {
-                    return Err(self.err(
-                        pos,
-                        pos.column,
-                        format!("cyclic .include of `{path}`"),
-                    ));
+                    return Err(self.err(pos, pos.column, format!("cyclic .include of `{path}`")));
                 }
                 if stack.len() >= MAX_INCLUDE_DEPTH {
                     return Err(self.err(
@@ -471,9 +470,13 @@ impl<'a> Assembler<'a> {
         }
         // Labels (possibly several) at the start of the statement.
         loop {
-            let Some(tok) = rest.split_whitespace().next() else { break };
-            let Some(name) = tok.strip_suffix(':') else { break };
-            let column = col_of(full, rest) ;
+            let Some(tok) = rest.split_whitespace().next() else {
+                break;
+            };
+            let Some(name) = tok.strip_suffix(':') else {
+                break;
+            };
+            let column = col_of(full, rest);
             if !is_identifier(name) {
                 return Err(self.err(pos0, column, format!("malformed label `{name}`")));
             }
@@ -503,7 +506,13 @@ impl<'a> Assembler<'a> {
         }
     }
 
-    fn define(&mut self, name: &str, value: i64, pos: Pos, column: usize) -> Result<(), ParseError> {
+    fn define(
+        &mut self,
+        name: &str,
+        value: i64,
+        pos: Pos,
+        column: usize,
+    ) -> Result<(), ParseError> {
         if self.symbols.insert(name.to_string(), value).is_some() {
             return Err(self.err(pos, column, format!("label `{name}` defined twice")));
         }
@@ -550,7 +559,11 @@ impl<'a> Assembler<'a> {
             }
             "data" | "bss" => {
                 if args.len() > 1 {
-                    return Err(self.err(pos, pos.column, format!(".{name} takes at most one operand")));
+                    return Err(self.err(
+                        pos,
+                        pos.column,
+                        format!(".{name} takes at most one operand"),
+                    ));
                 }
                 let addr = match args.first() {
                     Some(a) => Some(self.eval_now(a, pos)? as u64),
@@ -655,7 +668,11 @@ impl<'a> Assembler<'a> {
             "byte" | "word" | "quad" => {
                 data_only(self)?;
                 if args.is_empty() {
-                    return Err(self.err(pos, pos.column, format!(".{name} needs at least one value")));
+                    return Err(self.err(
+                        pos,
+                        pos.column,
+                        format!(".{name} needs at least one value"),
+                    ));
                 }
                 let size = match name {
                     "byte" => 1,
@@ -705,11 +722,16 @@ impl<'a> Assembler<'a> {
                 }
                 if let Some(fill) = args.get(1) {
                     if self.section == Section::Bss {
-                        return Err(self.err(pos, fill.column, ".bss space cannot take a fill byte"));
+                        return Err(self.err(
+                            pos,
+                            fill.column,
+                            ".bss space cannot take a fill byte",
+                        ));
                     }
                     let v = self.eval_now(fill, pos)?;
-                    let b = byte_value(v)
-                        .ok_or_else(|| self.err(pos, fill.column, format!("fill byte {v} out of range")))?;
+                    let b = byte_value(v).ok_or_else(|| {
+                        self.err(pos, fill.column, format!("fill byte {v} out of range"))
+                    })?;
                     self.chunks.push(DataChunk {
                         addr: self.data_loc,
                         payload: Payload::Bytes(vec![b; count as usize]),
@@ -743,9 +765,8 @@ impl<'a> Assembler<'a> {
                 format!("instruction `{mnemonic}` outside .text"),
             ));
         }
-        let op = opcode_by_name(mnemonic).ok_or_else(|| {
-            self.err(pos, pos.column, format!("unknown mnemonic `{mnemonic}`"))
-        })?;
+        let op = opcode_by_name(mnemonic)
+            .ok_or_else(|| self.err(pos, pos.column, format!("unknown mnemonic `{mnemonic}`")))?;
         self.insts.push(PendingInst { op, args, pos });
         Ok(())
     }
@@ -840,11 +861,7 @@ impl<'a> Assembler<'a> {
     fn branch_disp(&self, arg: &Arg, pos: Pos, site: usize) -> Result<i64, ParseError> {
         // A bare undefined symbol reads best as "undefined label".
         if is_identifier(&arg.text) && !self.symbols.contains_key(arg.text.as_str()) {
-            return Err(self.err(
-                pos,
-                arg.column,
-                format!("undefined label `{}`", arg.text),
-            ));
+            return Err(self.err(pos, arg.column, format!("undefined label `{}`", arg.text)));
         }
         let v = self.eval_final(arg, pos)?;
         if expr_is_literal(&arg.text) {
@@ -961,7 +978,9 @@ impl<'a> Assembler<'a> {
             };
             Ok(Operand::Imm(self.eval_final(&inner, pos)?))
         } else {
-            Ok(Operand::Reg(parse_reg_tok(arg, |c, m| self.err(pos, c, m))?))
+            Ok(Operand::Reg(parse_reg_tok(arg, |c, m| {
+                self.err(pos, c, m)
+            })?))
         }
     }
 
@@ -1004,11 +1023,7 @@ impl<'a> Assembler<'a> {
             let disp = self.eval_final(arg, pos)?;
             return Ok((Reg::R31, disp));
         }
-        Err(self.err(
-            pos,
-            arg.column,
-            format!("expected `disp(base)`, got `{t}`"),
-        ))
+        Err(self.err(pos, arg.column, format!("expected `disp(base)`, got `{t}`")))
     }
 }
 
@@ -1132,7 +1147,10 @@ fn parse_string_literal(
             other => {
                 return Err(mk(
                     col,
-                    format!("unknown escape `\\{}`", other.map(String::from).unwrap_or_default()),
+                    format!(
+                        "unknown escape `\\{}`",
+                        other.map(String::from).unwrap_or_default()
+                    ),
                 ))
             }
         }
@@ -1140,10 +1158,7 @@ fn parse_string_literal(
     Ok(out)
 }
 
-fn parse_reg_tok(
-    arg: &Arg,
-    mk: impl Fn(usize, String) -> ParseError,
-) -> Result<Reg, ParseError> {
+fn parse_reg_tok(arg: &Arg, mk: impl Fn(usize, String) -> ParseError) -> Result<Reg, ParseError> {
     let tok = arg.text.as_str();
     let body = tok
         .strip_prefix('r')
@@ -1251,19 +1266,23 @@ fn lex_expr(
             }
             b'0'..=b'9' => {
                 let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
                 let tok = &text[start..i];
                 let clean: String = tok.chars().filter(|&c| c != '_').collect();
-                let parsed = if let Some(hex) = clean.strip_prefix("0x").or_else(|| clean.strip_prefix("0X")) {
+                let parsed = if let Some(hex) = clean
+                    .strip_prefix("0x")
+                    .or_else(|| clean.strip_prefix("0X"))
+                {
                     u64::from_str_radix(hex, 16).map(|v| v as i64)
                 } else {
                     // Accept the full u64 range; values above i64::MAX wrap
                     // to their two's-complement bit pattern.
-                    clean.parse::<u64>().map(|v| v as i64).or_else(|_| clean.parse::<i64>())
+                    clean
+                        .parse::<u64>()
+                        .map(|v| v as i64)
+                        .or_else(|_| clean.parse::<i64>())
                 };
                 match parsed {
                     Ok(v) => toks.push((ETok::Num(v), base_col + start)),
@@ -1272,9 +1291,7 @@ fn lex_expr(
             }
             _ if (b as char).is_ascii_alphabetic() || b == b'_' => {
                 let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_')
-                {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
                 toks.push((ETok::Sym(text[start..i].to_string()), base_col + start));
@@ -1312,10 +1329,7 @@ impl<'a> ExprParser<'a> {
         t
     }
 
-    fn expr(
-        &mut self,
-        mk: &mut dyn FnMut(usize, String) -> ParseError,
-    ) -> Result<i64, ParseError> {
+    fn expr(&mut self, mk: &mut dyn FnMut(usize, String) -> ParseError) -> Result<i64, ParseError> {
         self.binary(0, mk)
     }
 

@@ -27,9 +27,7 @@ fn main() {
         scale: Scale::Small,
         ..Default::default()
     };
-    println!(
-        "running {suite} proxies on the {width}-wide machines (Small scale)..."
-    );
+    println!("running {suite} proxies on the {width}-wide machines (Small scale)...");
     let fig = experiments::figure_ipc(width, suite, &cfg);
     println!();
     print!("{}", report::render_ipc_figure(&fig, "Shootout"));

@@ -27,7 +27,9 @@ fn main() {
     let mut results = Vec::new();
     for &model in CoreModel::all() {
         let config = MachineConfig::new(model, 8);
-        let stats = Simulator::new(config, &program).run().expect("simulation runs");
+        let stats = Simulator::new(config, &program)
+            .run()
+            .expect("simulation runs");
         println!(
             "{:>11}: IPC {:.3}  ({} instructions in {} cycles, \
              {:.1}% branch mispredicts, {:.1}% L1D misses)",

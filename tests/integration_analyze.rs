@@ -136,7 +136,10 @@ fn cli_fails_on_a_seeded_lint_violation() {
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(1), "lint violation must exit 1");
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("no-panic"), "report names the rule: {stdout}");
+    assert!(
+        stdout.contains("no-panic"),
+        "report names the rule: {stdout}"
+    );
 }
 
 #[test]

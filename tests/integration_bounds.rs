@@ -21,12 +21,13 @@
 use std::path::PathBuf;
 
 use redbin::differential;
+use redbin::isa::Program;
 use redbin::json::Json;
 use redbin::sim::{BypassLevels, CoreModel, MachineConfig};
-use redbin::isa::Program;
 use redbin::workload::{fuzz, Benchmark, Scale, WholeProgram};
-use redbin_analyze::program::{analyze_program, AnalyzeOptions, TraceFacts, REPORT_WIDTHS,
-    TRACE_STEP_BOUND};
+use redbin_analyze::program::{
+    analyze_program, AnalyzeOptions, TraceFacts, REPORT_WIDTHS, TRACE_STEP_BOUND,
+};
 
 /// Slack for float comparison only — the bound itself already includes
 /// the emulator-vs-simulator `Halt` accounting difference.
@@ -37,7 +38,11 @@ fn all_programs() -> Vec<Program> {
         .into_iter()
         .map(|b| b.program(Scale::Test))
         .collect();
-    out.extend(WholeProgram::all().iter().map(|&wp| wp.program(Scale::Test)));
+    out.extend(
+        WholeProgram::all()
+            .iter()
+            .map(|&wp| wp.program(Scale::Test)),
+    );
     out
 }
 

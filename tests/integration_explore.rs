@@ -109,13 +109,25 @@ fn small_grid_frontier_matches_golden() {
     let doc = report::to_json(&outcome);
     // Every point reports its static dataflow limit, and no simulated
     // IPC exceeds it — the frontier invariant behind `pct-of-bound`.
-    let points = doc.get("points").and_then(json::Json::as_array).expect("points");
+    let points = doc
+        .get("points")
+        .and_then(json::Json::as_array)
+        .expect("points");
     assert_eq!(points.len(), 8);
     for p in points {
-        let ipc = p.get("hmean-ipc").and_then(json::Json::as_f64).expect("ipc");
-        let bound = p.get("bound-ipc").and_then(json::Json::as_f64).expect("bound");
+        let ipc = p
+            .get("hmean-ipc")
+            .and_then(json::Json::as_f64)
+            .expect("ipc");
+        let bound = p
+            .get("bound-ipc")
+            .and_then(json::Json::as_f64)
+            .expect("bound");
         assert!(bound > 0.0);
-        assert!(ipc <= bound + 1e-9, "simulated IPC beats the dataflow limit");
+        assert!(
+            ipc <= bound + 1e-9,
+            "simulated IPC beats the dataflow limit"
+        );
     }
     check_golden("explore_frontier_test.json", &doc.to_pretty());
 }
@@ -148,7 +160,10 @@ fn frontier_is_stable_across_schedulers() {
 fn explore_grid_ids_match_the_hash_manifest() {
     let path = golden_dir().join("canonical_hashes.json");
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing {} ({e}); regenerate integration_golden", path.display())
+        panic!(
+            "missing {} ({e}); regenerate integration_golden",
+            path.display()
+        )
     });
     let doc = json::parse(&text).expect("manifest parses");
     let section = doc

@@ -89,8 +89,8 @@ fn the_whole_program_suite_passes_the_oracle() {
     for &wp in WholeProgram::all() {
         let program = wp.program(Scale::Test);
         for config in [MachineConfig::rb_full(8), MachineConfig::baseline(4)] {
-            let verdict = differential::check_program(&program, &config)
-                .unwrap_or_else(|f| panic!("{f}"));
+            let verdict =
+                differential::check_program(&program, &config).unwrap_or_else(|f| panic!("{f}"));
             assert!(
                 verdict.retired > 1_000,
                 "{} at test scale is too trivial to exercise the pipeline",

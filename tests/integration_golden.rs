@@ -237,7 +237,10 @@ fn determinism_across_thread_counts() {
 fn goldens_are_valid_json_with_complete_stall_accounting() {
     let text = render_figure_ipc();
     let doc = json::parse(&text).expect("golden parses");
-    let rows = doc.get("rows").and_then(json::Json::as_array).expect("rows");
+    let rows = doc
+        .get("rows")
+        .and_then(json::Json::as_array)
+        .expect("rows");
     assert_eq!(rows.len(), 8, "SPECint95 has 8 benchmarks");
     for row in rows {
         let stats = row.get("stats").expect("stats per model");
@@ -249,7 +252,10 @@ fn goldens_are_valid_json_with_complete_stall_accounting() {
             let stall = s.get("stall").expect("stall");
             let used = stall.get("used").and_then(json::Json::as_u64).unwrap();
             let charged = stall.get("charged").and_then(json::Json::as_u64).unwrap();
-            let total = stall.get("total-slots").and_then(json::Json::as_u64).unwrap();
+            let total = stall
+                .get("total-slots")
+                .and_then(json::Json::as_u64)
+                .unwrap();
             assert_eq!(
                 used + charged,
                 total,

@@ -18,14 +18,15 @@ fn noop_observer_is_bit_identical_to_plain_run() {
         let program = b.program(Scale::Test);
         for &model in CoreModel::all() {
             let cfg = MachineConfig::new(model, 8);
-            let plain = Simulator::new(cfg.clone(), &program)
-                .run()
-                .expect("runs");
+            let plain = Simulator::new(cfg.clone(), &program).run().expect("runs");
             let observed = Simulator::new(cfg.clone(), &program)
                 .run_observed(&mut NoopObserver)
                 .expect("runs");
             let (traced, _) = Simulator::new(cfg, &program).run_traced().expect("runs");
-            assert_eq!(plain, observed, "{b:?} {model}: no-op observer changed stats");
+            assert_eq!(
+                plain, observed,
+                "{b:?} {model}: no-op observer changed stats"
+            );
             assert_eq!(plain, traced, "{b:?} {model}: tracing changed stats");
         }
     }
@@ -62,7 +63,10 @@ fn stats_observer_rederives_the_hardwired_counters() {
         // level and one case, so the two breakdowns sum identically.
         let case_total: u64 = obs.case_counts.iter().sum();
         let level_total: u64 = obs.bypass_levels.iter().sum();
-        assert_eq!(case_total, level_total, "{b:?}: one case per leveled operand");
+        assert_eq!(
+            case_total, level_total,
+            "{b:?}: one case per leveled operand"
+        );
         assert!(case_total > 0, "{b:?}: bypass events must flow");
         let recorded: u64 = BypassCase::all()
             .iter()
@@ -120,7 +124,10 @@ fn telemetry_registry_round_trips_through_json() {
         let h = hists
             .get(&format!("stage-occupancy-{}", stage.label()))
             .unwrap_or_else(|| panic!("{} histogram missing", stage.label()));
-        let counts = h.get("counts").and_then(json::Json::as_array).expect("counts");
+        let counts = h
+            .get("counts")
+            .and_then(json::Json::as_array)
+            .expect("counts");
         let total: u64 = counts.iter().filter_map(json::Json::as_u64).sum();
         assert_eq!(
             h.get("count").and_then(json::Json::as_u64),

@@ -50,8 +50,14 @@ fn machine_ordering_holds_in_aggregate() {
         means.push(harmonic_mean(&ipcs));
     }
     let (base, rblim, rbfull, ideal) = (means[0], means[1], means[2], means[3]);
-    assert!(base <= rblim * 1.005, "baseline {base} vs rb-limited {rblim}");
-    assert!(rblim <= rbfull * 1.005, "rb-limited {rblim} vs rb-full {rbfull}");
+    assert!(
+        base <= rblim * 1.005,
+        "baseline {base} vs rb-limited {rblim}"
+    );
+    assert!(
+        rblim <= rbfull * 1.005,
+        "rb-limited {rblim} vs rb-full {rbfull}"
+    );
     assert!(rbfull <= ideal * 1.005, "rb-full {rbfull} vs ideal {ideal}");
     // And the gaps are material, not noise: the RB machine recovers most
     // of the Ideal machine's advantage over the Baseline.

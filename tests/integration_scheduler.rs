@@ -88,7 +88,10 @@ fn schedulers_agree_on_bypass_ablations_and_steering() {
     // Redundant-binary register file (§4.2 pathological datapath): TC
     // consumers get exactly one discrete bypass slot, which exercises the
     // non-contiguous-availability path of the wakeup floor.
-    cases.push(("rb_full rb-rf-only".into(), MachineConfig::rb_full(8).with_rb_rf_only()));
+    cases.push((
+        "rb_full rb-rf-only".into(),
+        MachineConfig::rb_full(8).with_rb_rf_only(),
+    ));
     cases.push((
         "rb_limited rb-rf-only 4-wide".into(),
         MachineConfig::rb_limited(4).with_rb_rf_only(),
@@ -110,7 +113,10 @@ fn schedulers_agree_on_a_memory_bound_kernel_under_every_ablation() {
     for width in [4usize, 8] {
         let mut cases: Vec<(String, MachineConfig)> = Vec::new();
         for levels in redbin::experiments::figure14_configs() {
-            for machine in [MachineConfig::ideal(width), MachineConfig::rb_limited(width)] {
+            for machine in [
+                MachineConfig::ideal(width),
+                MachineConfig::rb_limited(width),
+            ] {
                 cases.push((
                     format!("mcf {} {} w{width}", machine.model, levels.label()),
                     machine.with_bypass(levels),
@@ -250,9 +256,19 @@ fn random_program(rng: &mut redbin_testkit::Rng, layout: Layout) -> Program {
 
     let iters = rng.range_i64(4, 24);
     let body_len = rng.range_usize(12, 40);
-    let mut code = vec![Inst::op(Opcode::Addq, Reg::R31, Operand::Imm(iters), Reg(20))];
+    let mut code = vec![Inst::op(
+        Opcode::Addq,
+        Reg::R31,
+        Operand::Imm(iters),
+        Reg(20),
+    )];
     for k in 0..3u8 {
-        code.push(Inst::lda(Opcode::Lda, Reg::R31, layout.spacing * (k as i64 + 1), Reg(16 + k)));
+        code.push(Inst::lda(
+            Opcode::Lda,
+            Reg::R31,
+            layout.spacing * (k as i64 + 1),
+            Reg(16 + k),
+        ));
     }
 
     let alu = [
@@ -275,8 +291,18 @@ fn random_program(rng: &mut redbin_testkit::Rng, layout: Layout) -> Program {
         let inst = match rng.range_u64(0, 9) {
             0..=4 => Inst::op(*rng.pick(&alu), data(rng), operand(rng), data(rng)),
             5 => Inst::op(Opcode::Cmoveq, data(rng), operand(rng), data(rng)),
-            6 => Inst::mem(*rng.pick(&loads), data(rng), base(rng), rng.range_i64(0, 256)),
-            7 => Inst::mem(*rng.pick(&stores), data(rng), base(rng), rng.range_i64(0, 256)),
+            6 => Inst::mem(
+                *rng.pick(&loads),
+                data(rng),
+                base(rng),
+                rng.range_i64(0, 256),
+            ),
+            7 => Inst::mem(
+                *rng.pick(&stores),
+                data(rng),
+                base(rng),
+                rng.range_i64(0, 256),
+            ),
             8 => Inst::lda(Opcode::Lda, data(rng), rng.range_i64(-64, 64), data(rng)),
             _ => {
                 // Forward conditional branch skipping 1–3 body slots;
@@ -284,7 +310,11 @@ fn random_program(rng: &mut redbin_testkit::Rng, layout: Layout) -> Program {
                 let remaining = body_len - i - 1;
                 if remaining >= 1 {
                     let skip = rng.range_i64(1, remaining.min(3) as i64);
-                    let op = if rng.range_u64(0, 1) == 0 { Opcode::Beq } else { Opcode::Bne };
+                    let op = if rng.range_u64(0, 1) == 0 {
+                        Opcode::Beq
+                    } else {
+                        Opcode::Bne
+                    };
                     Inst::branch(op, data(rng), skip)
                 } else {
                     Inst::op(Opcode::Addq, data(rng), Operand::Imm(1), data(rng))
@@ -295,7 +325,12 @@ fn random_program(rng: &mut redbin_testkit::Rng, layout: Layout) -> Program {
     }
     if layout.advance != 0 {
         for k in 0..3u8 {
-            body.push(Inst::lda(Opcode::Lda, Reg(16 + k), layout.advance, Reg(16 + k)));
+            body.push(Inst::lda(
+                Opcode::Lda,
+                Reg(16 + k),
+                layout.advance,
+                Reg(16 + k),
+            ));
         }
     }
     let body_len = body.len() as i64;
@@ -351,9 +386,11 @@ fn schedulers_agree_on_memory_bound_random_programs() {
     redbin_testkit::cases(24, 0x3E30_B0D1_7E57, |rng| {
         let program = memory_bound_program(rng);
         let cfg = random_config(rng);
-        let stats =
-            assert_schedulers_agree(&cfg, &program, &format!("memory-bound cfg={cfg:?}"));
-        assert!(stats.l2_misses > 0, "loads should miss to memory: {stats:?}");
+        let stats = assert_schedulers_agree(&cfg, &program, &format!("memory-bound cfg={cfg:?}"));
+        assert!(
+            stats.l2_misses > 0,
+            "loads should miss to memory: {stats:?}"
+        );
     });
 }
 
