@@ -248,7 +248,7 @@ pub fn analyze_config(cfg: &MachineConfig) -> BypassAnalysis {
         }
         for need_tc in [false, true] {
             for cross_cluster in [false, true] {
-                if cross_cluster && cfg.clusters <= 1 {
+                if cross_cluster && cfg.clusters() <= 1 {
                     continue;
                 }
                 entries.push(probe(

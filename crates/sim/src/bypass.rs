@@ -19,7 +19,7 @@
 //! * Figure 14's removed levels on the Ideal machine; and
 //! * the +1 cycle inter-cluster forwarding delay of the 8-wide machine.
 
-use crate::config::{BypassLevels, CoreModel, MachineConfig};
+use crate::config::{BypassLevels, CoreModel, MachineConfig, SCHED_TO_EXEC};
 
 /// When and in what format one instruction's result becomes available.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,11 +106,12 @@ impl BypassModel {
             // the static bypass analysis must catch.
             return u64::MAX;
         }
-        // The TC register file (2-cycle read) serves executions from t+4 —
-        // that is exactly why a full network needs three bypass levels. For
-        // redundant producers the write-back follows CV1/CV2, so the RF can
-        // never serve before the conversion completes either.
-        (r.ready + 4).max(r.tc_ready + 2) + x
+        // The TC register file (2-cycle read) serves executions from
+        // t + SCHED_TO_EXEC + 1 — that is exactly why a full network needs
+        // SCHED_TO_EXEC bypass levels. For redundant producers the
+        // write-back follows CV1/CV2, so the RF can never serve before the
+        // conversion completes either.
+        (r.ready + SCHED_TO_EXEC + 1).max(r.tc_ready + 2) + x
     }
 
     /// Can a consumer needing `need_tc` format, in `consumer_cluster`,
@@ -337,8 +338,13 @@ mod tests {
         }
         assert_eq!(m.earliest(&r, false, 0, 0), 11);
         assert!(m.from_bypass(&r, false, 0, 11));
-        assert!(m.from_bypass(&r, false, 0, 13));
-        assert!(!m.from_bypass(&r, false, 0, 14), "RF from t+4");
+        // One bypass level per cycle of select-to-execute depth, then the
+        // register file.
+        assert!(m.from_bypass(&r, false, 0, 10 + SCHED_TO_EXEC));
+        assert!(
+            !m.from_bypass(&r, false, 0, 10 + SCHED_TO_EXEC + 1),
+            "RF from t + SCHED_TO_EXEC + 1"
+        );
     }
 
     #[test]

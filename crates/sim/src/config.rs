@@ -293,54 +293,56 @@ impl DatapathMode {
     }
 }
 
-/// The full machine configuration (Table 2 defaults).
+/// Fetch/decode/rename/retire width (Table 2).
+pub const FRONT_WIDTH: usize = 8;
+/// Reorder-buffer entries.
+pub const ROB_ENTRIES: usize = 256;
+/// Fetch-to-dispatch depth: 6 fetch/decode + 2 rename.
+pub const FRONT_LATENCY: u64 = 8;
+/// Select-to-execute depth: 1 schedule + 2 register file read. A full
+/// bypass network therefore has this many levels, and the register file
+/// serves a result that finishes at `t` from `t + SCHED_TO_EXEC + 1`.
+pub const SCHED_TO_EXEC: u64 = 3;
+/// Basic blocks fetchable per cycle.
+pub const FETCH_BLOCKS: usize = 2;
+/// Fetch/decode queue capacity.
+pub const FETCH_QUEUE: usize = 96;
+/// L1 instruction cache: (bytes, ways, line bytes, access cycles).
+pub const ICACHE: (usize, usize, usize, u64) = (64 * 1024, 4, 64, 2);
+/// L1 data cache: (bytes, ways, line bytes, access cycles).
+pub const DCACHE: (usize, usize, usize, u64) = (8 * 1024, 2, 64, 2);
+/// Unified L2: (bytes, ways, line bytes, access cycles, banks, busy cycles per access).
+pub const L2: (usize, usize, usize, u64, usize, u64) = (1024 * 1024, 8, 64, 8, 2, 2);
+/// Memory: (access cycles, banks, busy cycles per access).
+pub const MEMORY: (u64, usize, u64) = (100, 32, 4);
+
+/// The values of one machine that an experiment varies. The rest of
+/// Table 2 is fixed: see the constants of this module.
 ///
 /// Construct through a preset ([`MachineConfig::ideal`], …) or, for a
 /// width that is not known to be valid, [`MachineConfig::try_new`],
 /// which returns a `Result` instead of panicking; then chain the
 /// `with_*` modifiers. `redbin-analyze`'s `validate_machine` proves the
-/// result's bypass network sound. The public fields remain directly
-/// assignable as the *escape hatch* for deliberately-unsound
-/// configurations — tests that must exercise the analyzer's rejection
-/// paths mutate fields no modifier sets.
+/// result's bypass network sound. The fields are public and may be
+/// assigned directly: the ablation sweeps vary `window`, `cluster_delay`
+/// and `conversion_latency`, which no modifier sets; the torture
+/// configurations set `max_cycles`; and the analyzer's tests build
+/// deliberately-unsound machines (`rb_rf_only` without bypass level 3)
+/// that `validate_machine` must reject.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Which §5.1 core model.
     pub model: CoreModel,
     /// Number of functional units: 4 or 8.
     pub width: usize,
-    /// Fetch/decode/rename/retire width.
-    pub front_width: usize,
     /// Total reservation-station entries, split evenly across schedulers.
     pub window: usize,
-    /// Schedulers (each select-2 feeding 2 FUs): width / 2.
-    pub schedulers: usize,
-    /// Clusters: the 8-wide machine is split into two.
-    pub clusters: usize,
     /// Extra forwarding delay between clusters (cycles).
     pub cluster_delay: u64,
-    /// Reorder-buffer entries.
-    pub rob: usize,
     /// Which bypass levels exist (Figure 14 removes some).
     pub bypass: BypassLevels,
-    /// Fetch-to-dispatch depth: 6 fetch/decode + 2 rename.
-    pub front_latency: u64,
-    /// Select-to-execute depth: 1 schedule + 2 register file read.
-    pub sched_to_exec: u64,
-    /// Basic blocks fetchable per cycle.
-    pub fetch_blocks: usize,
-    /// Fetch/decode queue capacity.
-    pub fetch_queue: usize,
     /// Redundant→TC format conversion latency (CV1+CV2).
     pub conversion_latency: u64,
-    /// L1 instruction cache: (bytes, ways, line bytes, access cycles).
-    pub icache: (usize, usize, usize, u64),
-    /// L1 data cache: (bytes, ways, line bytes, access cycles).
-    pub dcache: (usize, usize, usize, u64),
-    /// Unified L2: (bytes, ways, line bytes, access cycles, banks, busy cycles per access).
-    pub l2: (usize, usize, usize, u64, usize, u64),
-    /// Memory: (access cycles, banks, busy cycles per access).
-    pub memory: (u64, usize, u64),
     /// Scheduler steering policy.
     pub steering: SteeringPolicy,
     /// Datapath fidelity checking.
@@ -380,26 +382,13 @@ impl MachineConfig {
         if width != 4 && width != 8 {
             return Err(ConfigError::UnsupportedWidth(width));
         }
-        let clusters = if width == 8 { 2 } else { 1 };
         Ok(MachineConfig {
             model,
             width,
-            front_width: 8,
             window: 128,
-            schedulers: width / 2,
-            clusters,
             cluster_delay: 1,
-            rob: 256,
             bypass: BypassLevels::FULL,
-            front_latency: 8,
-            sched_to_exec: 3,
-            fetch_blocks: 2,
-            fetch_queue: 96,
             conversion_latency: 2,
-            icache: (64 * 1024, 4, 64, 2),
-            dcache: (8 * 1024, 2, 64, 2),
-            l2: (1024 * 1024, 8, 64, 8, 2, 2),
-            memory: (100, 32, 4),
             steering: SteeringPolicy::RoundRobinPairs,
             datapath: DatapathMode::Fast,
             max_cycles: 0,
@@ -458,14 +447,28 @@ impl MachineConfig {
         self
     }
 
+    /// Schedulers, each select-2 feeding 2 FUs: width / 2.
+    pub fn schedulers(&self) -> usize {
+        self.width / 2
+    }
+
+    /// Clusters: the 8-wide machine is split into two.
+    pub fn clusters(&self) -> usize {
+        if self.width == 8 {
+            2
+        } else {
+            1
+        }
+    }
+
     /// Reservation-station entries per scheduler.
     pub fn entries_per_scheduler(&self) -> usize {
-        self.window / self.schedulers
+        self.window / self.schedulers()
     }
 
     /// The cluster a scheduler belongs to.
     pub fn cluster_of(&self, scheduler: usize) -> usize {
-        scheduler * self.clusters / self.schedulers
+        scheduler * self.clusters() / self.schedulers()
     }
 
     /// The Table 3 *execution* latency of an opcode on this machine —
@@ -525,30 +528,34 @@ impl MachineConfig {
     /// differ from their default, so every pre-existing pinned hash
     /// (`tests/golden/canonical_hashes.json`) is preserved.
     pub fn fold_canonical(&self, h: &mut Fnv64) {
+        // The Table 2 constants and the two values derived from `width`
+        // were fields in the original layout. They are still folded, in
+        // that layout's order and integer types, so that every job id and
+        // pinned hash keeps its value.
         h.write_tag(0xA0); // domain tag: MachineConfig
         h.write_tag(self.model.canonical_tag());
         h.write_usize(self.width);
-        h.write_usize(self.front_width);
+        h.write_usize(FRONT_WIDTH);
         h.write_usize(self.window);
-        h.write_usize(self.schedulers);
-        h.write_usize(self.clusters);
+        h.write_usize(self.schedulers());
+        h.write_usize(self.clusters());
         h.write_u64(self.cluster_delay);
-        h.write_usize(self.rob);
+        h.write_usize(ROB_ENTRIES);
         h.write_bool(self.bypass.l1);
         h.write_bool(self.bypass.l2);
         h.write_bool(self.bypass.l3);
-        h.write_u64(self.front_latency);
-        h.write_u64(self.sched_to_exec);
-        h.write_usize(self.fetch_blocks);
-        h.write_usize(self.fetch_queue);
+        h.write_u64(FRONT_LATENCY);
+        h.write_u64(SCHED_TO_EXEC);
+        h.write_usize(FETCH_BLOCKS);
+        h.write_usize(FETCH_QUEUE);
         h.write_u64(self.conversion_latency);
-        for &(a, b, c, d) in [&self.icache, &self.dcache] {
+        for (a, b, c, d) in [ICACHE, DCACHE] {
             h.write_usize(a).write_usize(b).write_usize(c).write_u64(d);
         }
-        let (a, b, c, d, e, f) = self.l2;
+        let (a, b, c, d, e, f) = L2;
         h.write_usize(a).write_usize(b).write_usize(c);
         h.write_u64(d).write_usize(e).write_u64(f);
-        let (a, b, c) = self.memory;
+        let (a, b, c) = MEMORY;
         h.write_u64(a).write_usize(b).write_u64(c);
         h.write_tag(self.steering.canonical_tag());
         h.write_tag(self.datapath.canonical_tag());
@@ -583,7 +590,7 @@ impl MachineConfig {
     /// `datapath` stays: the Faithful check adds `fidelity_checks`.
     pub fn timing_class(&self) -> MachineConfig {
         let mut class = self.clone();
-        if self.clusters <= 1 {
+        if self.clusters() <= 1 {
             let table2 = MachineConfig::new(self.model, 4);
             class.steering = table2.steering;
             class.cluster_delay = table2.cluster_delay;
@@ -625,17 +632,17 @@ mod tests {
     #[test]
     fn widths_and_partitions_match_the_paper() {
         let m8 = MachineConfig::ideal(8);
-        assert_eq!(m8.schedulers, 4);
+        assert_eq!(m8.schedulers(), 4);
         assert_eq!(m8.entries_per_scheduler(), 32);
-        assert_eq!(m8.clusters, 2);
+        assert_eq!(m8.clusters(), 2);
         assert_eq!(m8.cluster_of(0), 0);
         assert_eq!(m8.cluster_of(1), 0);
         assert_eq!(m8.cluster_of(2), 1);
         assert_eq!(m8.cluster_of(3), 1);
         let m4 = MachineConfig::ideal(4);
-        assert_eq!(m4.schedulers, 2);
+        assert_eq!(m4.schedulers(), 2);
         assert_eq!(m4.entries_per_scheduler(), 64);
-        assert_eq!(m4.clusters, 1);
+        assert_eq!(m4.clusters(), 1);
         assert_eq!(m4.cluster_of(1), 0);
     }
 
@@ -742,16 +749,6 @@ mod tests {
             base.clone().with_bypass(BypassLevels::without(&[2])),
             base.clone().with_steering(SteeringPolicy::DependenceAware),
             base.clone().with_datapath(DatapathMode::Faithful),
-            {
-                let mut c = base.clone();
-                c.dcache.0 *= 2;
-                c
-            },
-            {
-                let mut c = base.clone();
-                c.memory.0 = 200;
-                c
-            },
             {
                 let mut c = base.clone();
                 c.max_cycles = 1;

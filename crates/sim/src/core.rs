@@ -9,7 +9,10 @@ use redbin_isa::{Opcode, Program, StepError};
 use crate::bpred::BranchPredictor;
 use crate::bypass::{BypassModel, ResultTiming, UnavailableReason};
 use crate::cache::{MemoryHierarchy, ServedBy};
-use crate::config::{MachineConfig, SteeringPolicy};
+use crate::config::{
+    MachineConfig, SteeringPolicy, DCACHE, FETCH_BLOCKS, FETCH_QUEUE, FRONT_LATENCY, FRONT_WIDTH,
+    ICACHE, L2, MEMORY, ROB_ENTRIES, SCHED_TO_EXEC,
+};
 use crate::lsq::{LoadDecision, StoreQueue};
 use crate::observer::{NoopObserver, RetireEvent, SimObserver, Stage, TraceObserver};
 use crate::oracle::{DynInst, Oracle};
@@ -190,10 +193,10 @@ impl Simulator {
     pub fn new(cfg: MachineConfig, program: &Program) -> Self {
         let oracle = Oracle::new(program, cfg.datapath);
         let bypass = BypassModel::new(&cfg);
-        let mem = MemoryHierarchy::new(cfg.icache, cfg.dcache, cfg.l2, cfg.memory);
-        let rs_free = vec![cfg.entries_per_scheduler(); cfg.schedulers];
-        let waiting = vec![VecDeque::new(); cfg.schedulers];
-        let candidates = vec![Vec::new(); cfg.schedulers];
+        let mem = MemoryHierarchy::new(ICACHE, DCACHE, L2, MEMORY);
+        let rs_free = vec![cfg.entries_per_scheduler(); cfg.schedulers()];
+        let waiting = vec![VecDeque::new(); cfg.schedulers()];
+        let candidates = vec![Vec::new(); cfg.schedulers()];
         Simulator {
             cfg,
             oracle,
@@ -332,8 +335,8 @@ impl Simulator {
         let skipped = horizon - from;
         // The horizon holds every scheduler's stall cause constant, so the
         // first skipped cycle's cause stands for all of them.
-        let e = from + self.cfg.sched_to_exec;
-        for s in 0..self.cfg.schedulers {
+        let e = from + SCHED_TO_EXEC;
+        for s in 0..self.cfg.schedulers() {
             let cause = match self.oldest_blocked(s, u64::MAX, None) {
                 Some((seq, lsq)) => self.stall_cause_of(seq, lsq, e),
                 None => self.upstream_cause(),
@@ -371,8 +374,7 @@ impl Simulator {
     /// `u64::MAX` when nothing is pending at all.
     fn quiet_horizon(&mut self) -> u64 {
         let next = self.cycle + 1;
-        let s2e = self.cfg.sched_to_exec;
-        let e = next + s2e;
+        let e = next + SCHED_TO_EXEC;
         let mut h = match self.cfg.max_cycles {
             0 => u64::MAX,
             limit => limit.saturating_add(1),
@@ -402,8 +404,8 @@ impl Simulator {
         // or fetch that could go right away. A pending redirect waits for
         // its branch to issue.
         if self.redirect_branch.is_none() {
-            let can_fetch = self.fetch_q.len() < self.cfg.fetch_queue
-                && (self.peeked.is_some() || !self.oracle_done);
+            let can_fetch =
+                self.fetch_q.len() < FETCH_QUEUE && (self.peeked.is_some() || !self.oracle_done);
             if self.fetch_resume > self.cycle || can_fetch {
                 h = h.min(self.fetch_resume.max(next));
             }
@@ -419,14 +421,14 @@ impl Simulator {
                     if c.min_ready <= e {
                         return next;
                     }
-                    h = h.min(c.min_ready - s2e);
+                    h = h.min(c.min_ready - SCHED_TO_EXEC);
                 }
             }
         }
         // Stall attribution: the oldest waiting entry's issued producers
         // must each stay in flight (cause constant) or be continuously
         // available (ignored by the attribution) over the whole stretch.
-        for s in 0..self.cfg.schedulers {
+        for s in 0..self.cfg.schedulers() {
             let Some((w, _)) = self.oldest_blocked(s, u64::MAX, None) else {
                 continue;
             };
@@ -441,7 +443,7 @@ impl Simulator {
                 };
                 let in_flight_until = self.bypass.in_flight_until(&r, entry.cluster);
                 if e <= in_flight_until {
-                    h = h.min(in_flight_until + 1 - s2e);
+                    h = h.min(in_flight_until + 1 - SCHED_TO_EXEC);
                 } else if e < self.bypass.rf_start(&r, src.need_tc, entry.cluster) {
                     return next;
                 }
@@ -485,10 +487,7 @@ impl Simulator {
         let mut fetched = 0usize;
         let mut blocks = 0usize;
         let mut cur_line: Option<u64> = None;
-        while fetched < self.cfg.front_width
-            && blocks < self.cfg.fetch_blocks
-            && self.fetch_q.len() < self.cfg.fetch_queue
-        {
+        while fetched < FRONT_WIDTH && blocks < FETCH_BLOCKS && self.fetch_q.len() < FETCH_QUEUE {
             let Some(d) = self.peek_oracle()? else { break };
             // Instruction cache: one probe per distinct line per group.
             let line_addr = (d.pc as u64 * 4) & !(self.mem.l1i.line_bytes() as u64 - 1);
@@ -529,7 +528,7 @@ impl Simulator {
 
             self.fetch_q.push_back(FetchedInst {
                 d,
-                ready: self.cycle + self.cfg.front_latency,
+                ready: self.cycle + FRONT_LATENCY,
                 mispredicted,
             });
 
@@ -550,20 +549,20 @@ impl Simulator {
     fn dispatch<O: SimObserver>(&mut self, obs: &mut O) -> usize {
         let mut dispatched = 0usize;
         self.window_blocked = false;
-        while dispatched < self.cfg.front_width {
+        while dispatched < FRONT_WIDTH {
             let Some(front) = self.fetch_q.front() else {
                 break;
             };
             if front.ready > self.cycle {
                 break;
             }
-            if self.ring.len() >= self.cfg.rob {
+            if self.ring.len() >= ROB_ENTRIES {
                 self.window_blocked = true;
                 break;
             }
             let scheduler = match self.cfg.steering {
                 SteeringPolicy::RoundRobinPairs => {
-                    ((self.steer_counter / 2) % self.cfg.schedulers as u64) as usize
+                    ((self.steer_counter / 2) % self.cfg.schedulers() as u64) as usize
                 }
                 SteeringPolicy::DependenceAware => self.steer_by_dependence(&front.d),
             };
@@ -660,7 +659,7 @@ impl Simulator {
                     None
                 },
                 dispatch_cycle: self.cycle,
-                fetch_cycle: f.ready - self.cfg.front_latency,
+                fetch_cycle: f.ready - FRONT_LATENCY,
                 issue_cycle: 0,
                 exec_start: 0,
                 exec_end: 0,
@@ -693,8 +692,8 @@ impl Simulator {
     /// scheduler forwards identically, so this degenerates to round-robin
     /// (chasing producers there only unbalances the window).
     fn steer_by_dependence(&self, d: &DynInst) -> usize {
-        let rr = ((self.steer_counter / 2) % self.cfg.schedulers as u64) as usize;
-        if self.cfg.clusters <= 1 {
+        let rr = ((self.steer_counter / 2) % self.cfg.schedulers() as u64) as usize;
+        if self.cfg.clusters() <= 1 {
             return rr;
         }
         let preferred_cluster = d
@@ -706,15 +705,15 @@ impl Simulator {
             .and_then(|p| self.entry(p))
             .map(|e| e.cluster);
         if let Some(c) = preferred_cluster {
-            if let Some(s) = (0..self.cfg.schedulers)
+            if let Some(s) = (0..self.cfg.schedulers())
                 .filter(|s| self.cfg.cluster_of(*s) == c && self.rs_free[*s] > 0)
                 .max_by_key(|s| self.rs_free[*s])
             {
                 return s;
             }
         }
-        (0..self.cfg.schedulers)
-            .map(|k| (rr + k) % self.cfg.schedulers)
+        (0..self.cfg.schedulers())
+            .map(|k| (rr + k) % self.cfg.schedulers())
             .find(|s| self.rs_free[*s] > 0)
             .unwrap_or(rr)
     }
@@ -811,11 +810,11 @@ impl Simulator {
     /// issue picks, and stall attribution are bit-identical to
     /// `issue_reference` (pinned by the differential suite).
     fn issue_event<O: SimObserver>(&mut self, obs: &mut O) -> usize {
-        let e = self.cycle + self.cfg.sched_to_exec;
+        let e = self.cycle + SCHED_TO_EXEC;
         let mut issued_count = 0usize;
         let mut any_issued = false;
         let upstream = self.upstream_cause();
-        for s in 0..self.cfg.schedulers {
+        for s in 0..self.cfg.schedulers() {
             self.compact_waiting(s);
             let mut picked = 0usize;
             // Seq of the second pick: the reference scan stops right after
@@ -1014,11 +1013,11 @@ impl Simulator {
     /// the event-driven scheduler is differentially tested against (see
     /// [`with_reference_scheduler`](Self::with_reference_scheduler)).
     fn issue_reference<O: SimObserver>(&mut self, obs: &mut O) -> usize {
-        let e = self.cycle + self.cfg.sched_to_exec;
+        let e = self.cycle + SCHED_TO_EXEC;
         let mut issued_count = 0usize;
         let mut any_issued = false;
         let upstream = self.upstream_cause();
-        for s in 0..self.cfg.schedulers {
+        for s in 0..self.cfg.schedulers() {
             let mut picked = 0usize;
             // Oldest entry that could not issue this cycle, and whether the
             // store queue (rather than an operand) held it back.
@@ -1299,7 +1298,7 @@ impl Simulator {
 
     fn retire<O: SimObserver>(&mut self, obs: &mut O) -> usize {
         let mut n = 0usize;
-        while n < self.cfg.front_width {
+        while n < FRONT_WIDTH {
             let Some(head) = self.ring.front() else { break };
             if head.state != State::Issued {
                 break;

@@ -17,7 +17,15 @@ use redbin_arith::sam::ModifiedSamDecoder;
 use redbin_arith::RbNumber;
 use redbin_isa::{Emulator, Inst, Opcode, Operand, Program, Reg, StepError};
 
-use crate::config::DatapathMode;
+use crate::config::{DatapathMode, DCACHE};
+
+/// The L1 data cache's set-index bits `[lo, hi)`: above the line offset,
+/// one bit per doubling of the set count.
+const DCACHE_INDEX_BITS: (u32, u32) = {
+    let (bytes, ways, line, _) = DCACHE;
+    let lo = line.trailing_zeros();
+    (lo, lo + (bytes / (ways * line)).trailing_zeros())
+};
 
 /// One dynamic (correct-path) instruction produced by the oracle.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,8 +74,7 @@ impl Oracle {
             mode,
             adder: RbAdder::new(),
             shadow,
-            // The 8 KB 2-way, 64 B-line data cache: index bits [6, 12).
-            sam: ModifiedSamDecoder::new(6, 12),
+            sam: ModifiedSamDecoder::new(DCACHE_INDEX_BITS.0, DCACHE_INDEX_BITS.1),
             checks: 0,
             done: false,
         }
@@ -255,9 +262,10 @@ impl Oracle {
                 // modified SAM decoder and compare cache rows.
                 let ea = retired.ea.expect("memory op has an address");
                 let row = self.sam.decode(a, inst.disp as u64);
+                let (lo, hi) = DCACHE_INDEX_BITS;
                 assert_eq!(
                     row as u64,
-                    (ea >> 6) & 63,
+                    (ea >> lo) & ((1 << (hi - lo)) - 1),
                     "modified SAM row diverged at pc {} ({})",
                     retired.pc,
                     inst

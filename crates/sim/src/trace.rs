@@ -230,8 +230,9 @@ mod tests {
 
     #[test]
     fn back_to_back_issue_has_no_rf_stage() {
-        // When select feeds execution directly (sched_to_exec = 0), the
-        // SCH/RF range is empty and the issue cycle is already EXE.
+        // When select feeds execution directly (a select-to-execute depth
+        // of 0), the SCH/RF range is empty and the issue cycle is already
+        // EXE.
         let mut e = entry(0, 10, 1, false);
         e.exec_start = e.issue;
         e.exec_end = e.issue;
