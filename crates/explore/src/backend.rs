@@ -4,8 +4,9 @@
 //! * [`Backend::Local`] fans the specs through the deterministic
 //!   in-process worker pool (`redbin::pool::run_jobs`) — the default,
 //!   no server required.
-//! * [`Backend::Server`] submits each spec to a running `redbin-served`
-//!   instance over the wire protocol. Because every spec is
+//! * [`Backend::Server`] submits the specs to a running `redbin-served`
+//!   instance over the wire protocol, from as many concurrent callers as
+//!   the local pool would use threads. Because every spec is
 //!   content-addressed, a re-run of the same (or an overlapping) grid
 //!   reuses the server's result cache; the reported `cache_hit` flags
 //!   make that reuse observable.
@@ -101,8 +102,11 @@ fn run_local(
 
 fn run_server(specs: &[JobSpec], addr: &str) -> Result<Vec<SimOutcome>, String> {
     let client = Client::new(addr);
-    let mut out = Vec::with_capacity(specs.len());
-    for spec in specs {
+    // Concurrent callers, as many as the local pool would use, keep the
+    // server's workers busy. Each caller waits on its own job, and
+    // `run_to_completion` backs off when the server's queue is full.
+    run_jobs(specs.len(), ExperimentConfig::default().threads, |i| {
+        let spec = &specs[i];
         let job_id = spec.job_id();
         let (_, body, cache_hit) = client
             .run_to_completion(spec.clone(), None, SERVER_JOB_TIMEOUT)
@@ -111,13 +115,14 @@ fn run_server(specs: &[JobSpec], addr: &str) -> Result<Vec<SimOutcome>, String> 
             .get("hmean-ipc")
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("job {job_id}: result body has no `hmean-ipc`"))?;
-        out.push(SimOutcome {
+        Ok(SimOutcome {
             job_id,
             hmean,
             cache_hit,
-        });
-    }
-    Ok(out)
+        })
+    })
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
