@@ -32,10 +32,10 @@ use redbin::json::Json;
 use redbin::sim::{CoreModel, MachineConfig};
 use redbin::workload::text::Listing;
 
-/// Step budget for the concrete (tier B) verification run. Generous: the
-/// differential oracle uses the same figure, and every shipped program
-/// and torture seed halts well under it.
-pub const TRACE_STEP_BOUND: u64 = 200_000_000;
+/// Step budget for the concrete (tier B) verification run: the
+/// differential oracle's budget, under which every shipped program and
+/// torture seed halts.
+pub const TRACE_STEP_BOUND: u64 = redbin::differential::EMULATOR_STEP_BOUND;
 
 const NUM_REGS: usize = 32;
 type RegMask = u32;

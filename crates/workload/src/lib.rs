@@ -18,8 +18,6 @@
 //! * [`programs::WholeProgram`] — five complete programs (quicksort,
 //!   matmul, box blur, prime sieve, a QOI-style decoder) written in
 //!   assembly text, each paired with a Rust reference checksum.
-//! * [`micro`] — synthetic dependence-pattern microbenchmarks with
-//!   analytically predictable behaviour.
 //! * [`profile`] — static/dynamic workload characterization.
 //! * [`text`] — a full text assembler (sections, data directives,
 //!   constant expressions, `.include`) for hand-written programs.
@@ -44,7 +42,6 @@
 pub mod asm;
 pub mod fuzz;
 pub mod kernels;
-pub mod micro;
 pub mod profile;
 pub mod programs;
 pub mod suite;

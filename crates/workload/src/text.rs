@@ -46,7 +46,7 @@
 //!   symbols).
 //! * `.entry label` — set the program entry point (default 0).
 //! * `.include "path"` — splice another source file (see
-//!   [`parse_with`]/[`parse_file`]; cyclic includes are an error).
+//!   [`parse_with`]/[`parse_file_listing`]; cyclic includes are an error).
 //!
 //! # Expressions
 //!
@@ -94,8 +94,8 @@ impl std::error::Error for ParseError {}
 /// Resolves `.include "path"` directives to source text.
 ///
 /// Implemented for closures (`Fn(&str) -> Result<String, String>`), so a
-/// test can serve includes from a map and [`parse_file`] from the
-/// filesystem.
+/// test can serve includes from a map and [`parse_file_listing`] from
+/// the filesystem.
 pub trait IncludeSource {
     /// Returns the text of `path`, or a human-readable failure reason.
     fn read(&self, path: &str) -> Result<String, String>;
@@ -112,7 +112,7 @@ struct NoIncludes;
 
 impl IncludeSource for NoIncludes {
     fn read(&self, _path: &str) -> Result<String, String> {
-        Err("no include resolver (use parse_with or parse_file)".to_string())
+        Err("no include resolver (use parse_with or parse_file_listing)".to_string())
     }
 }
 
@@ -215,36 +215,13 @@ pub fn parse_with_listing(
 }
 
 /// Parses an assembly file; `.include` paths resolve relative to the
-/// file's directory.
+/// file's directory. Also returns the [`Listing`] mapping each
+/// instruction back to its source position (spans carry the file name).
 ///
 /// # Errors
 ///
 /// As [`parse_with`], plus an unreadable root file (reported as a
 /// [`ParseError`] at line 0).
-pub fn parse_file(path: impl AsRef<std::path::Path>) -> Result<Program, ParseError> {
-    let path = path.as_ref();
-    let name = path.display().to_string();
-    let text = std::fs::read_to_string(path).map_err(|e| ParseError {
-        file: Some(name.clone()),
-        line: 0,
-        column: 0,
-        message: format!("cannot read file: {e}"),
-    })?;
-    let base = path.parent().map(|p| p.to_path_buf()).unwrap_or_default();
-    let fs_includes = move |p: &str| -> Result<String, String> {
-        std::fs::read_to_string(base.join(p)).map_err(|e| e.to_string())
-    };
-    Assembler::new(&fs_includes)
-        .assemble(&text, Some(name))
-        .map(|(p, _)| p)
-}
-
-/// Like [`parse_file`], but also returns the [`Listing`] mapping each
-/// instruction back to its source position (spans carry the file name).
-///
-/// # Errors
-///
-/// As [`parse_file`].
 pub fn parse_file_listing(
     path: impl AsRef<std::path::Path>,
 ) -> Result<(Program, Listing), ParseError> {
