@@ -265,8 +265,8 @@ pub fn analyze_config(cfg: &MachineConfig) -> BypassAnalysis {
     }
     let mut static_levels = [false; 3];
     for e in &entries {
-        for l in 0..3 {
-            static_levels[l] |= e.levels[l];
+        for (level, &reaches) in static_levels.iter_mut().zip(&e.levels) {
+            *level |= reaches;
         }
     }
     BypassAnalysis {

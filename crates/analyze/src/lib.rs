@@ -1,6 +1,6 @@
 //! Static verification for the redbin workspace.
 //!
-//! Three passes, runnable independently or together (see `ANALYSIS.md` at
+//! Two passes, runnable independently or together (see `ANALYSIS.md` at
 //! the repository root for the full rule catalogue):
 //!
 //! 1. [`netlist`] — structural analysis of the gate-level adders: cycle
@@ -11,8 +11,10 @@
 //!    a [`MachineConfig`]: every operand class must be obtainable, holes
 //!    are classified, and static level support is diffed against the
 //!    simulator's dynamic Figure 14 counters.
-//! 3. [`lint`] — a std-only source lint over the workspace's Rust files
-//!    with named rules and `// redbin-lint: allow(<rule>)` suppressions.
+//!
+//! The [`program`] verifier behind `redbin-analyze programs` checks
+//! assembly programs. The workspace's source rules are clippy lints (see
+//! `ANALYSIS.md`, "Source rules").
 //!
 //! The `redbin-analyze` binary wires the passes into a CI gate: exit 0
 //! when clean, 1 when any pass finds a problem, 2 on usage errors.
@@ -23,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod bypass;
-pub mod lint;
 pub mod netlist;
 pub mod program;
 
@@ -32,47 +33,29 @@ use std::path::PathBuf;
 use redbin::json::Json;
 
 /// What `run` should do, parsed from CLI arguments.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Options {
     /// Run the netlist pass.
     pub netlist: bool,
     /// Run the bypass/config pass.
     pub bypass: bool,
-    /// Run the source lint pass.
-    pub lint: bool,
     /// Emit a JSON report instead of text.
     pub json: bool,
-    /// Workspace root for the lint pass (defaults to the current directory).
-    pub root: PathBuf,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            netlist: false,
-            bypass: false,
-            lint: false,
-            json: false,
-            root: PathBuf::from("."),
-        }
-    }
 }
 
 /// CLI usage, printed on `--help` and argument errors.
 pub const USAGE: &str = "\
-redbin-analyze: static verification of netlists, bypass networks, and sources
+redbin-analyze: static verification of netlists, bypass networks, and programs
 
 USAGE:
-    redbin-analyze [--netlist] [--bypass] [--lint] [--all] [--json] [--root DIR]
+    redbin-analyze [--netlist] [--bypass] [--all] [--json]
     redbin-analyze programs [...]     (see `redbin-analyze programs --help`)
 
 FLAGS:
     --netlist    gate-level pass: cycles, depths, fan-out, claim-1 proof
     --bypass     config pass: operand reachability over shipped machines
-    --lint       source pass: named rules over workspace .rs files
-    --all        all three passes (default when no pass is selected)
+    --all        both passes (default when no pass is selected)
     --json       machine-readable report on stdout
-    --root DIR   workspace root for --lint (default: .)
     --help       this text
 
 EXIT CODES:
@@ -112,31 +95,24 @@ EXIT CODES:
 /// # Errors
 ///
 /// Returns a message (to print alongside [`USAGE`], exit 2) on unknown
-/// flags or a missing `--root` value. A lone `--help` returns
-/// `Err("help")` by convention — callers print usage and exit 0.
+/// flags. A lone `--help` returns `Err("help")` by convention — callers
+/// print usage and exit 0.
 pub fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
     let mut all = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    for a in args {
         match a.as_str() {
             "--netlist" => opts.netlist = true,
             "--bypass" => opts.bypass = true,
-            "--lint" => opts.lint = true,
             "--all" => all = true,
             "--json" => opts.json = true,
-            "--root" => match it.next() {
-                Some(dir) => opts.root = PathBuf::from(dir),
-                None => return Err("--root requires a directory".to_string()),
-            },
             "--help" | "-h" => return Err("help".to_string()),
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    if all || (!opts.netlist && !opts.bypass && !opts.lint) {
+    if all || (!opts.netlist && !opts.bypass) {
         opts.netlist = true;
         opts.bypass = true;
-        opts.lint = true;
     }
     Ok(opts)
 }
@@ -166,32 +142,6 @@ pub fn run(opts: &Options) -> (i32, String) {
             doc.set("bypass", bypass::to_json(&pass));
         } else {
             text.push_str(&bypass_text(&pass));
-        }
-    }
-    if opts.lint {
-        match lint::run(&opts.root) {
-            Ok(pass) => {
-                clean &= pass.clean();
-                if opts.json {
-                    doc.set("lint", lint::to_json(&pass));
-                } else {
-                    text.push_str(&lint_text(&pass));
-                }
-            }
-            Err(e) => {
-                clean = false;
-                let msg = format!("lint: cannot read workspace: {e}");
-                if opts.json {
-                    let mut o = Json::object();
-                    o.set("pass", Json::Str("lint".into()));
-                    o.set("clean", Json::Bool(false));
-                    o.set("error", Json::Str(msg.clone()));
-                    doc.set("lint", o);
-                } else {
-                    text.push_str(&msg);
-                    text.push('\n');
-                }
-            }
         }
     }
 
@@ -230,7 +180,7 @@ pub struct ProgramsOptions {
 /// the `programs` subcommand.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
-    /// The netlist/bypass/lint passes.
+    /// The netlist/bypass passes.
     Passes(Options),
     /// The `programs` verifier.
     Programs(ProgramsOptions),
@@ -482,20 +432,6 @@ fn bypass_text(pass: &bypass::BypassPass) -> String {
     s
 }
 
-fn lint_text(pass: &lint::LintReport) -> String {
-    let mut s = format!(
-        "== lint pass == ({} files, {} goldens)\n",
-        pass.files_scanned, pass.goldens_checked
-    );
-    for f in &pass.findings {
-        s.push_str(&format!(
-            "  {}:{} [{}] {}\n",
-            f.file, f.line, f.rule, f.message
-        ));
-    }
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,20 +439,19 @@ mod tests {
     #[test]
     fn default_selects_all_passes() {
         let opts = parse_args(&[]).expect("parses");
-        assert!(opts.netlist && opts.bypass && opts.lint);
+        assert!(opts.netlist && opts.bypass);
         assert!(!opts.json);
     }
 
     #[test]
     fn single_pass_selection_sticks() {
         let opts = parse_args(&["--netlist".into(), "--json".into()]).expect("parses");
-        assert!(opts.netlist && !opts.bypass && !opts.lint && opts.json);
+        assert!(opts.netlist && !opts.bypass && opts.json);
     }
 
     #[test]
     fn bad_flags_error() {
         assert!(parse_args(&["--frobnicate".into()]).is_err());
-        assert!(parse_args(&["--root".into()]).is_err());
         assert_eq!(parse_args(&["--help".into()]).unwrap_err(), "help");
     }
 
@@ -526,7 +461,6 @@ mod tests {
             netlist: true,
             bypass: true,
             json: true,
-            ..Options::default()
         };
         let (code, report) = run(&opts);
         assert_eq!(code, 0, "report: {report}");

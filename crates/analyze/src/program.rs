@@ -15,9 +15,9 @@
 //!    complete decision procedure, bounded by [`TRACE_STEP_BOUND`].
 //! 2. **Lints** — dead stores, unused results, unreachable blocks,
 //!    use-before-def, and call-linkage-discipline violations, rendered
-//!    with the assembler's `file:line:column` spans and suppressible via
-//!    the same `redbin-lint: allow(<rule>)` comments the source linter
-//!    uses (a `;` comment on the flagged line or the line above).
+//!    with the assembler's `file:line:column` spans and suppressible by
+//!    a `; redbin-lint: allow(<rule>)` comment on the flagged line or the
+//!    line above.
 //! 3. **Dataflow-limit bound** — the critical-path height of the dynamic
 //!    register-dependence graph, weighted by the Table 3 execution
 //!    latencies, yields a static per-(program, model, width) IPC upper
@@ -139,10 +139,8 @@ impl Cfg {
             problems.push(format!("entry point {} is outside the code", prog.entry));
         }
         for (i, inst) in prog.code.iter().enumerate() {
-            if inst.op.is_control() || inst.op == Opcode::Halt {
-                if i + 1 < n {
-                    leader[i + 1] = true;
-                }
+            if (inst.op.is_control() || inst.op == Opcode::Halt) && i + 1 < n {
+                leader[i + 1] = true;
             }
             if let Some(t) = direct_target(i, inst) {
                 if (0..n as i64).contains(&t) {
@@ -156,8 +154,8 @@ impl Cfg {
         let mut blocks = Vec::new();
         let mut block_of = vec![0usize; n];
         let mut start = 0;
-        for i in 0..n {
-            if i > start && leader[i] {
+        for (i, &is_leader) in leader.iter().enumerate() {
+            if i > start && is_leader {
                 blocks.push(Block { start, end: i });
                 start = i;
             }
@@ -166,9 +164,7 @@ impl Cfg {
             blocks.push(Block { start, end: n });
         }
         for (b, blk) in blocks.iter().enumerate() {
-            for pc in blk.start..blk.end {
-                block_of[pc] = b;
-            }
+            block_of[blk.start..blk.end].fill(b);
         }
 
         let mut succs: Vec<Vec<(usize, EdgeKind)>> = vec![Vec::new(); blocks.len()];

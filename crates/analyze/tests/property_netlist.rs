@@ -107,12 +107,11 @@ fn kahn_depth_matches_brute_force_longest_path() {
             let g = CircuitGraph::from_parts(kinds.clone(), fanins.clone(), outputs_for(n));
             let depths = g.depths(model).expect("DAG");
             let fanouts = g.fanout_counts();
-            for node in 0..n {
+            for (node, &depth) in depths.iter().enumerate() {
                 let expect = brute_depth(&fanouts, &kinds, &fanins, model, node);
                 assert!(
-                    (depths[node] - expect).abs() < 1e-9,
-                    "node {node}: kahn {} vs brute {expect} under {model:?}",
-                    depths[node]
+                    (depth - expect).abs() < 1e-9,
+                    "node {node}: kahn {depth} vs brute {expect} under {model:?}",
                 );
             }
         });

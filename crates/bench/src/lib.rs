@@ -10,7 +10,7 @@
 //!   simulating locally;
 //! * `--profile PATH` — `redbin-repro all` only: also write the throughput
 //!   profile (wall-clock, sims/sec, instrs/sec per figure) to `PATH`. The
-//!   path is required, so no run can overwrite the committed `BENCH_5.json`
+//!   path is required, so no run can overwrite the committed `BENCH_6.json`
 //!   baseline by accident;
 //! * `--seeds N` / `--start-seed S` — `redbin-repro fuzz` only: run the
 //!   torture seeds `S..S+N` through the differential oracle;

@@ -11,7 +11,7 @@
 //! `all --profile PATH` additionally writes a throughput profile to `PATH`:
 //! per-experiment wall-clock, simulation counts, and throughput
 //! (simulations/second and simulated instructions/second), plus whole-run
-//! totals. The committed `BENCH_5.json` is one such profile, the baseline
+//! totals. The committed `BENCH_6.json` is one such profile, the baseline
 //! CI's perf gate compares a fresh one against.
 
 use redbin::experiments;
@@ -63,9 +63,9 @@ struct Outcome {
     body: Json,
     /// Total simulated (retired/emulated) instructions, when meaningful.
     instructions: Option<u64>,
-    /// Individual simulator/emulator runs behind the result — the
-    /// denominator of the `sims-per-second` profile rate. Zero for purely
-    /// static experiments (`table3`, `delays`).
+    /// Timing simulations behind the result — the denominator of the
+    /// `sims-per-second` profile rate. Emulator-only runs do not count,
+    /// so `table1` reports zero, like the static `table3` and `delays`.
     simulations: u64,
 }
 
@@ -164,7 +164,7 @@ fn run_table1(cfg: &experiments::ExperimentConfig) -> Outcome {
     print!("{}", report::render_table1(&merged, &per));
     Outcome {
         instructions: Some(merged.total()),
-        simulations: per.len() as u64,
+        simulations: 0,
         body: json::table1(&merged, &per),
     }
 }
@@ -274,11 +274,9 @@ fn run_programs(cfg: &experiments::ExperimentConfig) -> Outcome {
         .map(|s| s.retired)
         .sum();
     let emulated: u64 = rep.rows.iter().map(|r| r.emulated).sum();
-    // One emulator run plus four simulated machines per program.
-    let sims = rep.rows.len() as u64 * 5;
     Outcome {
         instructions: Some(retired + emulated),
-        simulations: sims,
+        simulations: rep.rows.iter().map(|r| r.stats.len() as u64).sum(),
         body: json::programs(&rep),
     }
 }
@@ -312,7 +310,7 @@ fn run_fuzz(args: &BenchArgs) {
                 retired += v.retired;
                 cycles += v.cycles;
                 let done = seed - start + 1;
-                if done % 25 == 0 || done == n {
+                if done.is_multiple_of(25) || done == n {
                     println!(
                         "fuzz: {done}/{n} seeds ok ({retired} instructions, {:.1}s)",
                         started.seconds()

@@ -105,7 +105,6 @@ fn every_truncation_of_a_valid_envelope_errors_cleanly() {
         // incomplete, so the strict parser must error on all of them.
         let mut doc = Json::object();
         // Not a real envelope, just envelope-shaped fuzz input.
-        // redbin-lint: allow(wire-version)
         doc.set("v", Json::UInt(1));
         doc.set("body", random_json(rng, 4));
         let line = doc.to_compact();

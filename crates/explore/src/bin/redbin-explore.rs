@@ -19,6 +19,19 @@
 //! Pareto frontier table) goes to stdout; `--json` writes the full
 //! machine-readable document.
 
+// As in the library: a bad point or flag is reported, never a panic.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::process::ExitCode;
 
 use redbin::json::{self, Json};

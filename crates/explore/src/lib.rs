@@ -25,6 +25,20 @@
 //! All stages are deterministic: the same grid always yields the same
 //! report document (the golden snapshot under `tests/golden/` pins one).
 
+// A grid driver reports a bad point as a structured error instead of
+// dying on it and taking the rest of the grid with it.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod backend;
 pub mod bounds;
 pub mod delay;

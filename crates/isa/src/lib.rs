@@ -42,7 +42,6 @@
 
 pub mod class;
 pub mod emu;
-pub mod encode;
 pub mod format;
 pub mod inst;
 pub mod mem;

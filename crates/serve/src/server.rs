@@ -36,6 +36,20 @@
 //!   that have not sent a request, drains every accepted job, and only
 //!   then lets [`Server::run`] return.
 
+// A panic on a worker or handler thread takes a queued job, or the whole
+// service, with it: outside tests every failure here is handled.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -368,26 +382,26 @@ impl Server {
         let incoming = Mutex::new(incoming);
         std::thread::scope(|scope| {
             for worker in 0..shared.cfg.workers.max(1) {
+                // Startup-only: no pool means no service at all.
+                #[allow(clippy::expect_used)]
                 std::thread::Builder::new()
                     .name(format!("redbin-worker-{worker}"))
                     .spawn_scoped(scope, || worker_loop(shared))
-                    // Startup-only: no pool means no service at all.
-                    // redbin-lint: allow(no-panic)
                     .expect("spawn worker");
             }
             for handler in 0..shared.cfg.handlers() {
+                // Startup-only: connections need a handler to exist.
+                #[allow(clippy::expect_used)]
                 std::thread::Builder::new()
                     .name(format!("redbin-conn-{handler}"))
                     .spawn_scoped(scope, || handler_loop(shared, &incoming))
-                    // Startup-only: connections need a handler to exist.
-                    // redbin-lint: allow(no-panic)
                     .expect("spawn connection handler");
             }
+            // Startup-only: deadlines need the reaper to exist.
+            #[allow(clippy::expect_used)]
             std::thread::Builder::new()
                 .name("redbin-reaper".into())
                 .spawn_scoped(scope, || reaper_loop(shared, &shutdown))
-                // Startup-only: deadlines need the reaper to exist.
-                // redbin-lint: allow(no-panic)
                 .expect("spawn reaper");
 
             let accepted = accept_loop(&listener, shared, &handoff);

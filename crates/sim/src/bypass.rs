@@ -19,7 +19,15 @@
 //! * Figure 14's removed levels on the Ideal machine; and
 //! * the +1 cycle inter-cluster forwarding delay of the 8-wide machine.
 
+// `UnavailableReason` is designed to grow: a wildcard arm would absorb a
+// new reason instead of forcing the stall accounting to place it.
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+
 use crate::config::{BypassLevels, CoreModel, MachineConfig, SCHED_TO_EXEC};
+use crate::stats::StallCause;
 
 /// When and in what format one instruction's result becomes available.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,6 +57,21 @@ pub enum UnavailableReason {
     /// this cycle and the register file cannot serve it yet — a hole in a
     /// limited bypass network.
     Hole,
+}
+
+impl UnavailableReason {
+    /// The stall cause charged to a consumer that waits for an operand
+    /// unavailable for this reason. `load_missed` says the producer is a
+    /// load that missed the L1 D-cache, which makes an in-flight wait a
+    /// cache-miss wait.
+    pub(crate) fn stall_cause(self, load_missed: bool) -> StallCause {
+        match self {
+            UnavailableReason::InFlight if load_missed => StallCause::CacheMiss,
+            UnavailableReason::InFlight => StallCause::OperandWait,
+            UnavailableReason::ConversionWait => StallCause::ConversionWait,
+            UnavailableReason::Hole => StallCause::BypassHole,
+        }
+    }
 }
 
 /// The availability oracle for one machine configuration.

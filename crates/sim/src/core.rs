@@ -1,13 +1,27 @@
 //! The out-of-order pipeline: fetch, dispatch, wakeup/select, execute,
 //! and retire.
 
+// The simulator runs inside every server job and every grid point: outside
+// tests it reports a fault instead of panicking.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::collections::VecDeque;
 
 use redbin_isa::format::{input_req, InputReq};
 use redbin_isa::{Opcode, Program, StepError};
 
 use crate::bpred::BranchPredictor;
-use crate::bypass::{BypassModel, ResultTiming, UnavailableReason};
+use crate::bypass::{BypassModel, ResultTiming};
 use crate::cache::{MemoryHierarchy, ServedBy};
 use crate::config::{
     MachineConfig, SteeringPolicy, DCACHE, FETCH_BLOCKS, FETCH_QUEUE, FRONT_LATENCY, FRONT_WIDTH,
@@ -1114,18 +1128,8 @@ impl Simulator {
                         .unavailable_reason(r, src.need_tc, entry.cluster, e);
                     let Some(reason) = reason else { continue };
                     let at = self.bypass.earliest(r, src.need_tc, entry.cluster, e);
-                    let cause = match reason {
-                        UnavailableReason::InFlight => {
-                            if prod.d.inst.op.is_load() && prod.dcache_miss {
-                                StallCause::CacheMiss
-                            } else {
-                                StallCause::OperandWait
-                            }
-                        }
-                        UnavailableReason::ConversionWait => StallCause::ConversionWait,
-                        UnavailableReason::Hole => StallCause::BypassHole,
-                    };
-                    (at, cause)
+                    let load_missed = prod.d.inst.op.is_load() && prod.dcache_miss;
+                    (at, reason.stall_cause(load_missed))
                 }
             };
             if worst.is_none_or(|(t, _)| at >= t) {

@@ -1,6 +1,13 @@
 //! Simulation statistics, including the Figure 13 bypass-case accounting
 //! and the per-cycle stall-cause (lost-slot) breakdown.
 
+// `StallCause` is designed to grow: a wildcard arm would absorb a new
+// cause instead of forcing the accounting to be extended.
+#![deny(
+    clippy::wildcard_enum_match_arm,
+    clippy::match_wildcard_for_single_variants
+)]
+
 use redbin_isa::format::Table1Counts;
 
 /// Why an issue slot went unused in some cycle — the stall taxonomy.
@@ -391,8 +398,10 @@ mod tests {
 
     #[test]
     fn stall_breakdown_accounts_every_slot() {
-        let mut s = StallBreakdown::default();
-        s.used = 10;
+        let mut s = StallBreakdown {
+            used: 10,
+            ..StallBreakdown::default()
+        };
         s.charge(StallCause::FetchStarved, 3);
         s.charge(StallCause::BypassHole, 2);
         s.charge(StallCause::BypassHole, 1);

@@ -1,11 +1,11 @@
 //! Monotonic wall-clock sampling: [`Clock`], [`Deadline`], [`Stopwatch`].
 //!
 //! This module is the only sanctioned home of `std::time::Instant::now()`
-//! in the workspace (enforced by the `instant-now` lint in
-//! `redbin-analyze`). Callers measure elapsed time with a [`Clock`], poll
-//! timeouts with a [`Deadline`], and slice consecutive phases with a
-//! [`Stopwatch`] — none of which can be constructed from anything but the
-//! monotonic clock, so telemetry can never go backwards.
+//! in the workspace (enforced by clippy's `disallowed_methods`, configured
+//! in the workspace `clippy.toml`). Callers measure elapsed time with a
+//! [`Clock`], poll timeouts with a [`Deadline`], and slice consecutive
+//! phases with a [`Stopwatch`] — none of which can be constructed from
+//! anything but the monotonic clock, so telemetry can never go backwards.
 
 use std::time::{Duration, Instant};
 

@@ -4,9 +4,10 @@
 //! everything an instrumented binary needs — counters, gauges, fixed-bucket
 //! histograms, a monotonic [`Clock`], and a deterministic text exposition
 //! format — lives here. Every other crate in the workspace is expected to
-//! take wall-clock samples through this crate; a lint in `redbin-analyze`
-//! rejects raw `Instant::now()` calls anywhere else, so timing policy
-//! (monotonicity, sanitisation of non-finite values) stays in one place.
+//! take wall-clock samples through this crate; clippy's
+//! `disallowed_methods` (the workspace `clippy.toml`) rejects raw
+//! `Instant::now()` calls anywhere else, so timing policy (monotonicity,
+//! sanitisation of non-finite values) stays in one place.
 //!
 //! See `OBSERVABILITY.md` at the workspace root for the metric-name
 //! conventions and how these pieces surface in `--json` output and the
@@ -14,6 +15,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The one crate that reads `Instant::now()`; see `clippy.toml`.
+#![allow(clippy::disallowed_methods)]
 
 pub mod clock;
 pub mod registry;

@@ -285,10 +285,10 @@ impl Asm {
                     // programs assemble through `text::parse`, which
                     // returns errors); a typo is a build defect every
                     // kernel's unit test catches at `cargo test` time.
+                    #[allow(clippy::panic)]
                     let target = *self
                         .labels
                         .get(label)
-                        // redbin-lint: allow(no-panic)
                         .unwrap_or_else(|| panic!("undefined label `{label}`"));
                     let disp = target as i64 - (site as i64 + 1);
                     match op {

@@ -36,6 +36,21 @@
 //! assert!(retired > 1_000);
 //! ```
 
+// Server-supplied custom programs assemble here on worker threads, so a
+// panic on outside input would kill a queued job: failures are `Result`s,
+// and the few panics left carry an `#[allow]` arguing why they cannot
+// fire.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

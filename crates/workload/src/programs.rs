@@ -145,8 +145,8 @@ impl WholeProgram {
         // longer assembles is a build defect this module's tests catch,
         // not a runtime condition (server-supplied text goes through the
         // fallible `text::parse` instead).
+        #[allow(clippy::panic)]
         let (prog, listing) = text::parse_with_listing(self.source(), &lib_source)
-            // redbin-lint: allow(no-panic)
             .unwrap_or_else(|e| panic!("{}.s does not assemble: {e}", self.name()));
         let (a, b) = self.size(scale);
         let mut prog = prog.with_name(format!("{}-{}", self.name(), scale.name()));
@@ -258,8 +258,8 @@ fn ref_sieve(n: usize) -> u64 {
     }
     let mut sum = 0u64;
     let mut count = 0u64;
-    for v in 2..n {
-        if !composite[v] {
+    for (v, &is_composite) in composite.iter().enumerate().skip(2) {
+        if !is_composite {
             sum = sum.wrapping_add(v as u64);
             count += 1;
         }

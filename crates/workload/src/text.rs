@@ -139,7 +139,7 @@ impl std::fmt::Display for InstSpan {
 /// Source-level metadata for an assembled program: the per-instruction
 /// line:column spans plus every `redbin-lint: allow(<rule>)` comment —
 /// what lets the static program passes render findings at their source
-/// positions and honor the workspace-wide suppression convention.
+/// positions and honor an assembly program's suppressions.
 #[derive(Debug, Clone, Default)]
 pub struct Listing {
     spans: Vec<InstSpan>,
@@ -154,8 +154,7 @@ impl Listing {
     }
 
     /// `true` if instruction `index`'s source line — or the line above
-    /// it — carries `redbin-lint: allow(<rule>)`, mirroring the source
-    /// linter's suppression rule.
+    /// it — carries `redbin-lint: allow(<rule>)`.
     pub fn suppresses(&self, index: usize, rule: &str) -> bool {
         let Some(span) = self.span(index) else {
             return false;
@@ -446,10 +445,7 @@ impl<'a> Assembler<'a> {
             return Ok(()); // whole-line comment
         }
         // Labels (possibly several) at the start of the statement.
-        loop {
-            let Some(tok) = rest.split_whitespace().next() else {
-                break;
-            };
+        while let Some(tok) = rest.split_whitespace().next() {
             let Some(name) = tok.strip_suffix(':') else {
                 break;
             };
@@ -1288,6 +1284,10 @@ struct ExprParser<'a> {
     symbols: &'a HashMap<String, i64>,
 }
 
+/// A binary operator of the expression grammar: its value, or why the
+/// operands have none.
+type BinaryOp = fn(i64, i64) -> Result<i64, &'static str>;
+
 impl<'a> ExprParser<'a> {
     fn peek(&self) -> Option<&ETok> {
         self.toks.get(self.pos).map(|(t, _)| t)
@@ -1321,44 +1321,43 @@ impl<'a> ExprParser<'a> {
         }
         let mut lhs = self.binary(level + 1, mk)?;
         loop {
-            let apply: Option<fn(i64, i64) -> Result<i64, &'static str>> =
-                match (level, self.peek()) {
-                    (0, Some(ETok::Op(b'|'))) => Some(|a, b| Ok(a | b)),
-                    (1, Some(ETok::Op(b'^'))) => Some(|a, b| Ok(a ^ b)),
-                    (2, Some(ETok::Op(b'&'))) => Some(|a, b| Ok(a & b)),
-                    (3, Some(ETok::Shl)) => Some(|a, b| {
-                        u32::try_from(b)
-                            .ok()
-                            .filter(|&s| s < 64)
-                            .map(|s| ((a as u64) << s) as i64)
-                            .ok_or("shift count out of range")
-                    }),
-                    (3, Some(ETok::Shr)) => Some(|a, b| {
-                        u32::try_from(b)
-                            .ok()
-                            .filter(|&s| s < 64)
-                            .map(|s| ((a as u64) >> s) as i64)
-                            .ok_or("shift count out of range")
-                    }),
-                    (4, Some(ETok::Op(b'+'))) => Some(|a, b| Ok(a.wrapping_add(b))),
-                    (4, Some(ETok::Op(b'-'))) => Some(|a, b| Ok(a.wrapping_sub(b))),
-                    (5, Some(ETok::Op(b'*'))) => Some(|a, b| Ok(a.wrapping_mul(b))),
-                    (5, Some(ETok::Op(b'/'))) => Some(|a, b| {
-                        if b == 0 {
-                            Err("division by zero")
-                        } else {
-                            Ok(a.wrapping_div(b))
-                        }
-                    }),
-                    (5, Some(ETok::Op(b'%'))) => Some(|a, b| {
-                        if b == 0 {
-                            Err("division by zero")
-                        } else {
-                            Ok(a.wrapping_rem(b))
-                        }
-                    }),
-                    _ => None,
-                };
+            let apply: Option<BinaryOp> = match (level, self.peek()) {
+                (0, Some(ETok::Op(b'|'))) => Some(|a, b| Ok(a | b)),
+                (1, Some(ETok::Op(b'^'))) => Some(|a, b| Ok(a ^ b)),
+                (2, Some(ETok::Op(b'&'))) => Some(|a, b| Ok(a & b)),
+                (3, Some(ETok::Shl)) => Some(|a, b| {
+                    u32::try_from(b)
+                        .ok()
+                        .filter(|&s| s < 64)
+                        .map(|s| ((a as u64) << s) as i64)
+                        .ok_or("shift count out of range")
+                }),
+                (3, Some(ETok::Shr)) => Some(|a, b| {
+                    u32::try_from(b)
+                        .ok()
+                        .filter(|&s| s < 64)
+                        .map(|s| ((a as u64) >> s) as i64)
+                        .ok_or("shift count out of range")
+                }),
+                (4, Some(ETok::Op(b'+'))) => Some(|a, b| Ok(a.wrapping_add(b))),
+                (4, Some(ETok::Op(b'-'))) => Some(|a, b| Ok(a.wrapping_sub(b))),
+                (5, Some(ETok::Op(b'*'))) => Some(|a, b| Ok(a.wrapping_mul(b))),
+                (5, Some(ETok::Op(b'/'))) => Some(|a, b| {
+                    if b == 0 {
+                        Err("division by zero")
+                    } else {
+                        Ok(a.wrapping_div(b))
+                    }
+                }),
+                (5, Some(ETok::Op(b'%'))) => Some(|a, b| {
+                    if b == 0 {
+                        Err("division by zero")
+                    } else {
+                        Ok(a.wrapping_rem(b))
+                    }
+                }),
+                _ => None,
+            };
             let Some(f) = apply else { return Ok(lhs) };
             let col = self.col();
             self.bump();

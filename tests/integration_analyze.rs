@@ -10,37 +10,14 @@
 //! Regenerate the golden after an intentional netlist change with
 //! `REDBIN_REGEN_GOLDEN=1 cargo test --test integration_analyze`.
 
-use std::path::PathBuf;
+mod common;
+
 use std::process::Command;
 
+use common::check_golden;
 use redbin::isa::{Inst, Opcode, Operand, Program, Reg};
 use redbin::sim::Simulator;
 use redbin_analyze::{bypass, netlist};
-
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
-}
-
-fn check_golden(name: &str, rendered: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var_os("REDBIN_REGEN_GOLDEN").is_some() {
-        std::fs::create_dir_all(golden_dir()).expect("golden dir");
-        std::fs::write(&path, rendered).expect("write golden");
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run with REDBIN_REGEN_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    assert!(
-        expected == rendered,
-        "golden mismatch for {name}; if intentional, regenerate with \
-         REDBIN_REGEN_GOLDEN=1 and review `git diff tests/golden/`"
-    );
-}
 
 #[test]
 fn netlist_depth_report_matches_golden() {
@@ -97,15 +74,10 @@ fn analyze_bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_redbin-analyze"))
 }
 
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
 #[test]
 fn cli_is_clean_on_the_current_tree() {
     let out = analyze_bin()
-        .args(["--all", "--json", "--root"])
-        .arg(repo_root())
+        .args(["--all", "--json"])
         .output()
         .expect("binary runs");
     assert!(
@@ -116,30 +88,6 @@ fn cli_is_clean_on_the_current_tree() {
     );
     let doc = redbin::json::parse(&String::from_utf8_lossy(&out.stdout)).expect("json output");
     assert_eq!(doc.get("clean"), Some(&redbin::json::Json::Bool(true)));
-}
-
-#[test]
-fn cli_fails_on_a_seeded_lint_violation() {
-    // A fake workspace whose server.rs violates no-panic.
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("analyze-seeded-lint");
-    let server = dir.join("crates/serve/src");
-    std::fs::create_dir_all(&server).expect("tmp tree");
-    std::fs::write(
-        server.join("server.rs"),
-        "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-    )
-    .expect("seed file");
-    let out = analyze_bin()
-        .args(["--lint", "--json", "--root"])
-        .arg(&dir)
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(1), "lint violation must exit 1");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("no-panic"),
-        "report names the rule: {stdout}"
-    );
 }
 
 #[test]

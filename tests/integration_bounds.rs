@@ -18,8 +18,9 @@
 //! with `REDBIN_REGEN_GOLDEN=1`). The bound is emulator-derived, so the
 //! golden is scheduler-independent by construction.
 
-use std::path::PathBuf;
+mod common;
 
+use common::check_golden;
 use redbin::differential;
 use redbin::isa::Program;
 use redbin::json::Json;
@@ -194,46 +195,6 @@ fn bound_dominates_every_bypass_ablation() {
 
 // --------------------------------------------------------------------------
 // The pinned golden: every shipped program's bound table, byte-for-byte.
-
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
-}
-
-fn first_diff(a: &str, b: &str) -> String {
-    for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
-        if la != lb {
-            return format!("line {}: expected `{la}`, got `{lb}`", i + 1);
-        }
-    }
-    format!(
-        "lengths differ: expected {} lines, got {}",
-        a.lines().count(),
-        b.lines().count()
-    )
-}
-
-fn check_golden(name: &str, rendered: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var_os("REDBIN_REGEN_GOLDEN").is_some() {
-        std::fs::create_dir_all(golden_dir()).expect("golden dir");
-        std::fs::write(&path, rendered).expect("write golden");
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run with REDBIN_REGEN_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    assert!(
-        expected == rendered,
-        "golden mismatch for {name}: {}\n\
-         If the change is intentional, regenerate with REDBIN_REGEN_GOLDEN=1 \
-         and review `git diff tests/golden/`.",
-        first_diff(&expected, rendered)
-    );
-}
 
 #[test]
 fn program_bounds_match_the_golden() {

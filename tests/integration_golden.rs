@@ -11,16 +11,13 @@
 //!
 //! then inspect `git diff tests/golden/` before committing.
 
-use std::path::PathBuf;
+mod common;
 
+use common::check_golden;
 use redbin::experiments::{self, ExperimentConfig};
 use redbin::json;
 use redbin::wire::{ExperimentKind, JobSpec};
 use redbin::workload::{Scale, Suite};
-
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
-}
 
 fn quick_config() -> ExperimentConfig {
     // Test scale, fixed settings: thread count must not matter (run_jobs
@@ -46,44 +43,6 @@ fn render_figure13() -> String {
 fn render_programs() -> String {
     let rep = experiments::programs(&quick_config());
     json::programs(&rep).to_pretty()
-}
-
-/// First line where two documents differ, with context for the failure
-/// message.
-fn first_diff(a: &str, b: &str) -> String {
-    for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
-        if la != lb {
-            return format!("line {}: expected `{la}`, got `{lb}`", i + 1);
-        }
-    }
-    format!(
-        "lengths differ: expected {} lines, got {}",
-        a.lines().count(),
-        b.lines().count()
-    )
-}
-
-fn check_golden(name: &str, rendered: &str) {
-    let path = golden_dir().join(name);
-    if std::env::var_os("REDBIN_REGEN_GOLDEN").is_some() {
-        std::fs::create_dir_all(golden_dir()).expect("golden dir");
-        std::fs::write(&path, rendered).expect("write golden");
-        eprintln!("regenerated {}", path.display());
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden {} ({e}); run with REDBIN_REGEN_GOLDEN=1 to create it",
-            path.display()
-        )
-    });
-    assert!(
-        expected == rendered,
-        "golden mismatch for {name}: {}\n\
-         If the change is intentional, regenerate with REDBIN_REGEN_GOLDEN=1 \
-         and review `git diff tests/golden/`.",
-        first_diff(&expected, rendered)
-    );
 }
 
 /// Renders the canonical-hash manifest: the content-addressed job id of
