@@ -27,7 +27,7 @@
 
 use std::collections::BTreeSet;
 
-use redbin::isa::{Emulator, Inst, Opcode, Operand, Program, Reg, StepError};
+use redbin::isa::{Emulator, Inst, Opcode, Operand, Program, Reg, SourceRegs, StepError};
 use redbin::json::Json;
 use redbin::sim::{CoreModel, MachineConfig};
 use redbin::workload::text::Listing;
@@ -697,6 +697,18 @@ pub struct TraceFacts {
     pub first_violation: Option<MemViolation>,
 }
 
+/// What [`TraceFacts::trace`] needs of one static instruction.
+struct TraceStep {
+    sources: SourceRegs,
+    dest: Option<Reg>,
+    /// Execution latency on the Baseline machine.
+    lat_slow: u64,
+    /// Execution latency on the fast machines.
+    lat_fast: u64,
+    /// Access width of a memory instruction.
+    width: u64,
+}
+
 /// Access width in bytes of a memory opcode.
 fn access_width(op: Opcode) -> u64 {
     match op {
@@ -725,6 +737,18 @@ impl TraceFacts {
         // one cycle (width does not enter exec_latency).
         let slow = MachineConfig::baseline(8);
         let fast = MachineConfig::ideal(8);
+        // Each static instruction decoded once, not once per step.
+        let decoded: Vec<TraceStep> = prog
+            .code
+            .iter()
+            .map(|inst| TraceStep {
+                sources: inst.source_regs(),
+                dest: inst.dest(),
+                lat_slow: slow.exec_latency(inst.op),
+                lat_fast: fast.exec_latency(inst.op),
+                width: access_width(inst.op),
+            })
+            .collect();
         let mut emu = Emulator::new(prog);
         let mut comp_slow = [0u64; NUM_REGS];
         let mut comp_fast = [0u64; NUM_REGS];
@@ -742,8 +766,9 @@ impl TraceFacts {
             match emu.step() {
                 Ok(r) => {
                     steps += 1;
+                    let step = &decoded[r.pc];
                     if let Some(ea) = r.ea {
-                        let width = access_width(r.inst.op);
+                        let width = step.width;
                         if !covered(&regions, ea, width) {
                             facts.oob_accesses += 1;
                             facts.first_violation.get_or_insert(MemViolation {
@@ -756,13 +781,13 @@ impl TraceFacts {
                     }
                     let mut ready_slow = 0;
                     let mut ready_fast = 0;
-                    for &s in r.inst.source_regs().as_slice() {
+                    for &s in step.sources.as_slice() {
                         ready_slow = ready_slow.max(comp_slow[s.index()]);
                         ready_fast = ready_fast.max(comp_fast[s.index()]);
                     }
-                    let done_slow = ready_slow + slow.exec_latency(r.inst.op);
-                    let done_fast = ready_fast + fast.exec_latency(r.inst.op);
-                    if let Some(d) = r.inst.dest() {
+                    let done_slow = ready_slow + step.lat_slow;
+                    let done_fast = ready_fast + step.lat_fast;
+                    if let Some(d) = step.dest {
                         comp_slow[d.index()] = done_slow;
                         comp_fast[d.index()] = done_fast;
                     }

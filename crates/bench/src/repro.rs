@@ -61,7 +61,9 @@ const ALL: [(ExperimentKind, &str); 9] = [
 struct Outcome {
     /// The `--json` result body.
     body: Json,
-    /// Total simulated (retired/emulated) instructions, when meaningful.
+    /// Total instructions the timing simulations behind the result
+    /// retired, when meaningful. Table 1's emulator-only runs report
+    /// their instruction counts in their own body instead.
     instructions: Option<u64>,
     /// Timing simulations behind the result — the denominator of the
     /// `sims-per-second` profile rate. Emulator-only runs do not count,
@@ -163,7 +165,7 @@ fn run_table1(cfg: &experiments::ExperimentConfig) -> Outcome {
     let (merged, per) = experiments::table1(cfg);
     print!("{}", report::render_table1(&merged, &per));
     Outcome {
-        instructions: Some(merged.total()),
+        instructions: None,
         simulations: 0,
         body: json::table1(&merged, &per),
     }

@@ -74,6 +74,157 @@ impl UnavailableReason {
     }
 }
 
+/// The [`BypassModel`]'s answers for one source operand — one producer's
+/// [`ResultTiming`], read in one format from one cluster — worked out
+/// once, when the producer issues ([`BypassModel::operand`]). The
+/// scheduler asks it every cycle the consumer waits; every answer equals
+/// the model's for the same question (pinned by the property tests and,
+/// through the reference scheduler, by the lockstep suite).
+///
+/// The operand is available at `e` if `e >= cont`, or if `e` is one of
+/// the discrete bypass slots `formed + 1 + k` (bit `k` of `slots`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OperandAvail {
+    /// The last cycle the value is still in flight
+    /// ([`BypassModel::in_flight_until`]).
+    until: u64,
+    /// The cycle the value exists in the consumer's format, so that no
+    /// consumer can source it earlier than the next one: the end of the
+    /// conversion (`tc_ready` + cluster delay) for a redundant producer
+    /// read as 2's complement, `until` otherwise.
+    formed: u64,
+    /// The first cycle from which the value is always available
+    /// (`u64::MAX`: never).
+    cont: u64,
+    /// [`BypassModel::rf_start`] (`u64::MAX`: never).
+    rf: u64,
+    /// Discrete bypass slots: bit `k` is the cycle `formed + 1 + k`.
+    slots: u8,
+    flags: u8,
+}
+
+impl OperandAvail {
+    const RB: u8 = 1;
+    const NEED_TC: u8 = 2;
+    const LOAD_MISSED: u8 = 4;
+    /// The redundant register file backs up BYP-1 (an RB-full machine's
+    /// redundant consumer of a redundant result).
+    const RB_RF: u8 = 8;
+
+    /// An operand whose producer has not issued: in flight for as long
+    /// as anyone asks, with no availability to bind.
+    pub fn pending(need_tc: bool) -> Self {
+        OperandAvail {
+            until: u64::MAX,
+            formed: u64::MAX,
+            cont: u64::MAX,
+            rf: u64::MAX,
+            slots: 0,
+            flags: u8::from(need_tc) * Self::NEED_TC,
+        }
+    }
+
+    /// `true` once the producer has issued ([`BypassModel::operand`]),
+    /// `false` for [`OperandAvail::pending`].
+    pub fn issued(&self) -> bool {
+        self.until != u64::MAX
+    }
+
+    /// Whether the consumer needs the 2's-complement form.
+    pub fn need_tc(&self) -> bool {
+        self.flags & Self::NEED_TC != 0
+    }
+
+    /// Whether the producer's result is redundant binary.
+    pub fn rb(&self) -> bool {
+        self.flags & Self::RB != 0
+    }
+
+    /// Whether the producer is a load that missed the L1 data cache.
+    pub fn load_missed(&self) -> bool {
+        self.flags & Self::LOAD_MISSED != 0
+    }
+
+    /// [`BypassModel::in_flight_until`].
+    pub fn in_flight_until(&self) -> u64 {
+        self.until
+    }
+
+    /// [`BypassModel::rf_start`].
+    pub fn rf_start(&self) -> u64 {
+        self.rf
+    }
+
+    fn slot(&self, e: u64) -> bool {
+        match e.checked_sub(self.formed) {
+            Some(d @ 1..=8) => self.slots >> (d - 1) & 1 != 0,
+            _ => false,
+        }
+    }
+
+    /// [`BypassModel::available`]: can the consumer execute at `e`?
+    pub fn at(&self, e: u64) -> bool {
+        e >= self.cont || self.slot(e)
+    }
+
+    /// [`BypassModel::earliest`]: the first cycle ≥ `from` at which the
+    /// operand is available (`u64::MAX` if none is).
+    pub fn earliest(&self, from: u64) -> u64 {
+        let mut best = self.cont.max(from);
+        if self.slots != 0 {
+            let first = self.formed + 1;
+            let skip = from.saturating_sub(first);
+            if let Some(rest) = self.slots.checked_shr(skip.min(8) as u32) {
+                if rest != 0 {
+                    best = best.min(first + skip + u64::from(rest.trailing_zeros()));
+                }
+            }
+        }
+        best
+    }
+
+    /// [`BypassModel::unavailable_reason`]: why the operand cannot be
+    /// sourced at `e`, or `None` if it can.
+    pub fn reason(&self, e: u64) -> Option<UnavailableReason> {
+        if self.at(e) {
+            None
+        } else if e <= self.until {
+            Some(UnavailableReason::InFlight)
+        } else if e <= self.formed {
+            Some(UnavailableReason::ConversionWait)
+        } else {
+            Some(UnavailableReason::Hole)
+        }
+    }
+
+    /// [`BypassModel::from_bypass`]: does sourcing at `e` use a bypass
+    /// path rather than the register file?
+    pub fn from_bypass(&self, e: u64) -> bool {
+        if self.flags & Self::RB_RF != 0 {
+            return e == self.until + 1;
+        }
+        e < self.rf
+    }
+
+    /// [`BypassModel::level_used`]: the bypass level (1–3) that delivers
+    /// the operand at `e`, or `None` if the register file serves it or it
+    /// is not available.
+    pub fn level(&self, e: u64) -> Option<u8> {
+        if !self.at(e) || !self.from_bypass(e) {
+            return None;
+        }
+        Some(if !self.rb() {
+            // A 2's-complement result reaches `e` through the level
+            // equal to its forwarding distance.
+            (e - self.until) as u8
+        } else if self.need_tc() {
+            3
+        } else {
+            1
+        })
+    }
+}
+
 /// The availability oracle for one machine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BypassModel {
@@ -325,6 +476,59 @@ impl BypassModel {
         }
         // Redundant consumer of a redundant producer: BYP-1.
         Some(1)
+    }
+
+    /// The availability of result `r` to a consumer needing `need_tc`
+    /// format in `consumer_cluster`, as one [`OperandAvail`]. Built from
+    /// the same formulas as [`available`](Self::available) rather than by
+    /// probing it; `load_missed` says the producer is a load that missed
+    /// the L1 data cache, which makes waiting for it a cache-miss stall.
+    pub fn operand(
+        &self,
+        r: &ResultTiming,
+        need_tc: bool,
+        consumer_cluster: usize,
+        load_missed: bool,
+    ) -> OperandAvail {
+        let x = self.xdelay(r, consumer_cluster);
+        let until = r.ready + x;
+        let rf = self.rf_start(r, need_tc, consumer_cluster);
+        let rb_rf = r.rb && !need_tc && self.model == CoreModel::RbFull;
+        let flags = (u8::from(r.rb) * OperandAvail::RB)
+            | (u8::from(need_tc) * OperandAvail::NEED_TC)
+            | (u8::from(load_missed) * OperandAvail::LOAD_MISSED)
+            | (u8::from(rb_rf) * OperandAvail::RB_RF);
+        let mut a = OperandAvail {
+            until,
+            formed: until,
+            cont: rf,
+            rf,
+            slots: 0,
+            flags,
+        };
+        if !r.rb {
+            // One slot per level present, at `until + l`.
+            for l in 1..=3u64 {
+                if self.levels.has(l) {
+                    a.slots |= 1 << (l - 1);
+                }
+            }
+        } else if need_tc {
+            a.formed = r.tc_ready + x;
+            if self.levels.has(3) {
+                if self.rb_rf_only {
+                    // The single post-conversion slot.
+                    a.slots = 1;
+                } else {
+                    // BYP-3 carries the converted value until the
+                    // register file takes over.
+                    a.cont = rf.min(a.formed + 1);
+                }
+            }
+        } else if self.levels.has(1) {
+            a.slots = 1;
+        }
+        a
     }
 }
 

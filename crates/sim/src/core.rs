@@ -15,13 +15,14 @@
     )
 )]
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use redbin_isa::format::{input_req, InputReq};
-use redbin_isa::{Opcode, Program, StepError};
+use redbin_isa::{Inst, Opcode, Program, Reg, StepError};
 
 use crate::bpred::BranchPredictor;
-use crate::bypass::{BypassModel, ResultTiming};
+use crate::bypass::{BypassModel, OperandAvail, ResultTiming};
 use crate::cache::{MemoryHierarchy, ServedBy};
 use crate::config::{
     MachineConfig, SteeringPolicy, DCACHE, FETCH_BLOCKS, FETCH_QUEUE, FRONT_LATENCY, FRONT_WIDTH,
@@ -67,8 +68,12 @@ struct Src {
     /// The dynamic seq of the producing instruction, if it was in flight at
     /// dispatch (otherwise the value comes from the register file).
     producer: Option<u64>,
-    /// Whether this operand must be 2's complement.
-    need_tc: bool,
+    /// When the producer's value can be sourced, built once when the
+    /// producer issues ([`OperandAvail::pending`] until then); it also
+    /// records whether this operand must be 2's complement. A producer
+    /// that has retired serves the operand from the register file,
+    /// whatever this says.
+    avail: OperandAvail,
 }
 
 /// The issue-gating sources of one entry, stored inline: an instruction
@@ -86,7 +91,7 @@ impl SrcList {
         SrcList {
             srcs: [Src {
                 producer: None,
-                need_tc: false,
+                avail: OperandAvail::pending(false),
             }; 3],
             len: 0,
         }
@@ -104,12 +109,83 @@ impl SrcList {
         &self.srcs[..self.len as usize]
     }
 
-    fn get(&self, idx: u8) -> Option<Src> {
-        self.as_slice().get(idx as usize).copied()
+    fn as_mut_slice(&mut self) -> &mut [Src] {
+        &mut self.srcs[..self.len as usize]
     }
 
     fn is_empty(&self) -> bool {
         self.len == 0
+    }
+}
+
+/// What rename and issue need of one static instruction, decoded once
+/// per program rather than once per dynamic instance.
+#[derive(Debug, Clone, Copy)]
+struct Decoded {
+    /// The issue-gating source registers (for stores: the base register
+    /// only), in `Inst::source_regs` order.
+    srcs: [Reg; 3],
+    len: u8,
+    /// Bit `i`: source `i` must be 2's complement.
+    tc: u8,
+    /// A store's data register, resolved through the store queue.
+    data: Option<Reg>,
+    dest: Option<Reg>,
+    /// Bytes a memory operation accesses (0 for the rest).
+    mem_size: u8,
+    /// [`MachineConfig::exec_latency`].
+    latency: u64,
+    /// [`MachineConfig::result_is_rb`].
+    rb: bool,
+}
+
+impl Decoded {
+    fn new(inst: &Inst, cfg: &MachineConfig) -> Self {
+        let op = inst.op;
+        let mut dec = Decoded {
+            srcs: [Reg::R31; 3],
+            len: 0,
+            tc: 0,
+            data: None,
+            dest: inst.dest(),
+            mem_size: match op {
+                Opcode::Ldq | Opcode::Stq => 8,
+                Opcode::Ldl | Opcode::Stl => 4,
+                Opcode::Ldbu | Opcode::Stb => 1,
+                _ => 0,
+            },
+            latency: cfg.exec_latency(op),
+            rb: cfg.result_is_rb(op),
+        };
+        let regs = if op.is_store() {
+            // The base register gates issue; the data operand is tracked
+            // separately and resolved via the store queue.
+            dec.data = (!inst.rc.is_zero_reg()).then_some(inst.rc);
+            let mut base = redbin_isa::SourceRegs::new();
+            if !inst.ra.is_zero_reg() {
+                base.push(inst.ra);
+            }
+            base
+        } else {
+            inst.source_regs()
+        };
+        for (idx, (slot, &r)) in dec.srcs.iter_mut().zip(regs.as_slice()).enumerate() {
+            *slot = r;
+            if input_req(op, idx) == InputReq::TcOnly {
+                dec.tc |= 1 << idx;
+            }
+            dec.len += 1;
+        }
+        dec
+    }
+
+    /// The issue-gating sources, each with whether it must be 2's
+    /// complement.
+    fn sources(&self) -> impl Iterator<Item = (Reg, bool)> + '_ {
+        self.srcs[..self.len as usize]
+            .iter()
+            .enumerate()
+            .map(|(idx, &r)| (r, self.tc >> idx & 1 != 0))
     }
 }
 
@@ -130,6 +206,7 @@ struct InFlight {
     min_ready: u64,
     /// Consumers sleeping on this entry's result as (consumer seq, source
     /// index) pairs, woken when this entry issues and its timing lands.
+    /// Drained at issue and kept, empty, for the ROB slot's next occupant.
     waiters: Vec<(u64, u8)>,
     /// For stores: the data operand's producer, resolved separately.
     store_data_producer: Option<u64>,
@@ -144,10 +221,67 @@ struct InFlight {
     /// Cycle at which the instruction may retire.
     complete_at: u64,
     mispredicted: bool,
-    mem_size: u8,
     /// For issued loads: whether the access missed in the L1 data cache
     /// (used to attribute downstream consumer stalls to `CacheMiss`).
     dcache_miss: bool,
+}
+
+impl InFlight {
+    /// The contents of a ROB slot no instruction has used yet.
+    fn vacant() -> Self {
+        InFlight {
+            d: DynInst {
+                seq: 0,
+                pc: 0,
+                inst: Inst::halt(),
+                next_pc: 0,
+                taken: None,
+                ea: None,
+            },
+            scheduler: 0,
+            cluster: 0,
+            state: State::Issued,
+            srcs: SrcList::new(),
+            wait_count: 0,
+            min_ready: 0,
+            waiters: Vec::new(),
+            store_data_producer: None,
+            store_data_time: None,
+            dispatch_cycle: 0,
+            fetch_cycle: 0,
+            issue_cycle: 0,
+            exec_start: 0,
+            exec_end: 0,
+            timing: None,
+            complete_at: 0,
+            mispredicted: false,
+            dcache_miss: false,
+        }
+    }
+}
+
+/// The ROB slot of dynamic instruction `seq`.
+fn rob_slot(seq: u64) -> usize {
+    (seq % ROB_ENTRIES as u64) as usize
+}
+
+/// Inserts `seq` into a sorted candidate list (idempotent): selection
+/// must stay oldest-first to match the reference scheduler's scan order.
+fn insert_sorted(list: &mut Vec<u64>, seq: u64) {
+    if let Err(pos) = list.binary_search(&seq) {
+        list.insert(pos, seq);
+    }
+}
+
+/// The wakeup floor an issued producer's operand contributes: its first
+/// available cycle, or 0 — evaluate every cycle, as the reference scan
+/// does — when it has none (a result statically unreachable for this
+/// consumer, which then issues once the producer retires).
+fn floor_of(avail: &OperandAvail) -> u64 {
+    match avail.earliest(0) {
+        u64::MAX => 0,
+        at => at,
+    }
 }
 
 struct FetchedInst {
@@ -161,6 +295,8 @@ struct FetchedInst {
 pub struct Simulator {
     cfg: MachineConfig,
     oracle: Oracle,
+    /// The program's instructions decoded for rename and issue, by pc.
+    decoded: Vec<Decoded>,
     bypass: BypassModel,
     bpred: BranchPredictor,
     mem: MemoryHierarchy,
@@ -175,8 +311,13 @@ pub struct Simulator {
     peeked: Option<DynInst>,
 
     fetch_q: VecDeque<FetchedInst>,
-    ring: VecDeque<InFlight>,
+    /// The ROB: `ROB_ENTRIES` slots, instruction `seq` in `rob_slot(seq)`.
+    /// The `in_flight` instructions from `base_seq` on occupy it.
+    ring: Vec<InFlight>,
     base_seq: u64,
+    in_flight: usize,
+    /// Reservation-station entries per scheduler.
+    rs_entries: usize,
     rs_free: Vec<usize>,
     /// Per-scheduler queues of waiting seqs (oldest first). The
     /// event-driven scheduler leaves issued entries in place as tombstones
@@ -184,9 +325,14 @@ pub struct Simulator {
     /// recover the oldest blocked entry for stall attribution.
     waiting: Vec<VecDeque<u64>>,
     /// Per-scheduler sorted candidate lists: seqs whose gating sources are
-    /// all produced (issued or in the register file). The event-driven
-    /// scheduler evaluates only these, instead of every waiting entry.
+    /// all produced (issued or in the register file) and whose wakeup
+    /// floor has come. The event-driven scheduler evaluates only these,
+    /// instead of every waiting entry.
     candidates: Vec<Vec<u64>>,
+    /// Per-scheduler queues of the other candidates, ordered by
+    /// `(min_ready, seq)`: each moves into `candidates` at the first
+    /// select whose execution cycle reaches its floor.
+    floors: Vec<BinaryHeap<Reverse<(u64, u64)>>>,
     /// Dispatched stores whose data operand is not yet resolved — the
     /// persistent replacement for the per-cycle full-ring scan.
     pending_stores: VecDeque<u64>,
@@ -206,14 +352,22 @@ impl Simulator {
     /// Builds a simulator for `program` on the configured machine.
     pub fn new(cfg: MachineConfig, program: &Program) -> Self {
         let oracle = Oracle::new(program, cfg.datapath);
+        let decoded = program
+            .code
+            .iter()
+            .map(|inst| Decoded::new(inst, &cfg))
+            .collect();
         let bypass = BypassModel::new(&cfg);
         let mem = MemoryHierarchy::new(ICACHE, DCACHE, L2, MEMORY);
-        let rs_free = vec![cfg.entries_per_scheduler(); cfg.schedulers()];
+        let rs_entries = cfg.entries_per_scheduler();
+        let rs_free = vec![rs_entries; cfg.schedulers()];
         let waiting = vec![VecDeque::new(); cfg.schedulers()];
         let candidates = vec![Vec::new(); cfg.schedulers()];
+        let floors = vec![BinaryHeap::new(); cfg.schedulers()];
         Simulator {
             cfg,
             oracle,
+            decoded,
             bypass,
             bpred: BranchPredictor::new(),
             mem,
@@ -225,11 +379,14 @@ impl Simulator {
             oracle_done: false,
             peeked: None,
             fetch_q: VecDeque::new(),
-            ring: VecDeque::new(),
+            ring: vec![InFlight::vacant(); ROB_ENTRIES],
             base_seq: 0,
+            in_flight: 0,
+            rs_entries,
             rs_free,
             waiting,
             candidates,
+            floors,
             pending_stores: VecDeque::new(),
             last_writer: [None; 32],
             steer_counter: 0,
@@ -314,12 +471,12 @@ impl Simulator {
             let mut work = self.retire(obs);
             work += self.dispatch(obs);
             work += self.issue(obs);
-            obs.on_stage(Stage::Execute, self.ring.len());
+            obs.on_stage(Stage::Execute, self.in_flight);
             work += self.fetch(obs)?;
             if self.oracle_done
                 && self.peeked.is_none()
                 && self.fetch_q.is_empty()
-                && self.ring.is_empty()
+                && self.in_flight == 0
             {
                 return Ok(());
             }
@@ -352,7 +509,7 @@ impl Simulator {
         let e = from + SCHED_TO_EXEC;
         for s in 0..self.cfg.schedulers() {
             let cause = match self.oldest_blocked(s, u64::MAX, None) {
-                Some((seq, lsq)) => self.stall_cause_of(seq, lsq, e),
+                Some((seq, lsq)) => self.stall_cause(seq, lsq, e),
                 None => self.upstream_cause(),
             };
             self.stats.stall.charge(cause, 2 * skipped);
@@ -363,10 +520,10 @@ impl Simulator {
         if !fetch_stalled {
             self.stats.fetch_hist[0] += skipped;
         }
-        if !self.ring.is_empty() {
+        if self.in_flight != 0 {
             self.stats.idle_issue_cycles += skipped;
         }
-        let in_flight = self.ring.len();
+        let in_flight = self.in_flight;
         for cycle in from..horizon {
             obs.on_cycle(cycle);
             obs.on_stage(Stage::Retire, 0);
@@ -395,7 +552,7 @@ impl Simulator {
         };
         // Retire: the ROB head leaves once it completes. A head still
         // waiting to issue needs an issue first.
-        if let Some(head) = self.ring.front() {
+        if let Some(head) = self.entry(self.base_seq) {
             if head.state == State::Issued {
                 h = h.min(if head.d.inst.op.is_store() {
                     self.sq
@@ -427,16 +584,15 @@ impl Simulator {
         if h <= next {
             return next;
         }
-        // Issue: a candidate is evaluated once execution could start at its
-        // wakeup floor; entries still sleeping need a producer to issue.
-        for list in &self.candidates {
-            for &seq in list {
-                if let Some(c) = self.entry(seq).filter(|c| c.state == State::Waiting) {
-                    if c.min_ready <= e {
-                        return next;
-                    }
-                    h = h.min(c.min_ready - SCHED_TO_EXEC);
-                }
+        // Issue: a listed candidate is evaluated every cycle; a queued one
+        // once execution could start at its wakeup floor. Entries still
+        // sleeping need a producer to issue.
+        if self.candidates.iter().any(|list| !list.is_empty()) {
+            return next;
+        }
+        for queue in &self.floors {
+            if let Some(Reverse((floor, _))) = queue.peek() {
+                h = h.min(floor - SCHED_TO_EXEC);
             }
         }
         // Stall attribution: the oldest waiting entry's issued producers
@@ -448,17 +604,13 @@ impl Simulator {
             };
             let Some(entry) = self.entry(w) else { continue };
             for src in entry.srcs.as_slice() {
-                let Some(r) = src
-                    .producer
-                    .and_then(|p| self.entry(p))
-                    .and_then(|p| p.timing)
-                else {
+                if self.in_flight_producer(src).is_none() || !src.avail.issued() {
                     continue;
-                };
-                let in_flight_until = self.bypass.in_flight_until(&r, entry.cluster);
+                }
+                let in_flight_until = src.avail.in_flight_until();
                 if e <= in_flight_until {
                     h = h.min(in_flight_until + 1 - SCHED_TO_EXEC);
-                } else if e < self.bypass.rf_start(&r, src.need_tc, entry.cluster) {
+                } else if e < src.avail.rf_start() {
                     return next;
                 }
             }
@@ -570,7 +722,7 @@ impl Simulator {
             if front.ready > self.cycle {
                 break;
             }
-            if self.ring.len() >= ROB_ENTRIES {
+            if self.in_flight >= ROB_ENTRIES {
                 self.window_blocked = true;
                 break;
             }
@@ -578,7 +730,7 @@ impl Simulator {
                 SteeringPolicy::RoundRobinPairs => {
                     ((self.steer_counter / 2) % self.cfg.schedulers() as u64) as usize
                 }
-                SteeringPolicy::DependenceAware => self.steer_by_dependence(&front.d),
+                SteeringPolicy::DependenceAware => self.steer_by_dependence(&self.decode(&front.d)),
             };
             if self.rs_free[scheduler] == 0 {
                 self.window_blocked = true;
@@ -592,72 +744,53 @@ impl Simulator {
             let cluster = self.cfg.cluster_of(scheduler);
             let d = f.d;
 
-            // Rename: resolve producers for the issue-gating sources.
+            // Rename: resolve producers for the issue-gating sources. Then
+            // the event-driven wakeup bookkeeping: sleep on producers that
+            // have not issued yet; describe issued producers' availability
+            // and fold its first cycle into the entry's wakeup floor.
             let op = d.inst.op;
+            let dec = self.decode(&d);
             let mut srcs = SrcList::new();
-            let data_reg = if op.is_store() {
-                // The base register gates issue; the data operand is
-                // tracked separately and resolved via the store queue.
-                if !d.inst.ra.is_zero_reg() {
-                    srcs.push(Src {
-                        producer: self.last_writer[d.inst.ra.index()],
-                        need_tc: input_req(op, 0) == InputReq::TcOnly,
-                    });
-                }
-                (!d.inst.rc.is_zero_reg()).then_some(d.inst.rc)
-            } else {
-                for (idx, r) in d.inst.source_regs().iter().enumerate() {
-                    srcs.push(Src {
-                        producer: self.last_writer[r.index()],
-                        need_tc: input_req(op, idx) == InputReq::TcOnly,
-                    });
-                }
-                None
-            };
-            let store_data_producer = data_reg.and_then(|r| self.last_writer[r.index()]);
-
-            // Event-driven wakeup bookkeeping: sleep on producers that have
-            // not issued yet; fold issued producers' earliest availability
-            // into the entry's wakeup floor.
             let mut wait_count = 0u8;
             let mut min_ready = 0u64;
-            for (idx, src) in srcs.as_slice().iter().enumerate() {
-                let Some(p) = src.producer else { continue };
-                let timing = match self.entry(p) {
-                    None => continue, // retired: value in the register file
-                    Some(prod) => prod.timing,
-                };
-                match timing {
-                    Some(r) => {
-                        let at = self.bypass.earliest(&r, src.need_tc, cluster, 0);
-                        if at != u64::MAX {
-                            min_ready = min_ready.max(at);
-                        }
+            for (idx, (r, need_tc)) in dec.sources().enumerate() {
+                let producer = self.last_writer[r.index()];
+                let mut avail = OperandAvail::pending(need_tc);
+                let issued = producer
+                    .and_then(|p| self.entry(p).map(|prod| (prod.timing, prod.dcache_miss)));
+                match issued {
+                    None => {} // no producer in flight: the register file
+                    Some((Some(timing), load_missed)) => {
+                        avail = self.bypass.operand(&timing, need_tc, cluster, load_missed);
+                        min_ready = min_ready.max(floor_of(&avail));
                     }
-                    None => {
-                        if let Some(prod) = self.entry_mut(p) {
+                    Some((None, _)) => {
+                        if let Some(prod) = producer.and_then(|p| self.entry_mut(p)) {
                             prod.waiters.push((d.seq, idx as u8));
                             wait_count += 1;
                         }
                     }
                 }
+                srcs.push(Src { producer, avail });
             }
+            let data_reg = dec.data;
+            let store_data_producer = data_reg.and_then(|r| self.last_writer[r.index()]);
 
-            if let Some(dest) = d.inst.dest() {
+            if let Some(dest) = dec.dest {
                 self.last_writer[dest.index()] = Some(d.seq);
             }
             if op.is_store() {
                 self.sq.dispatch(d.seq);
             }
-
-            let mem_size = match op {
-                Opcode::Ldq | Opcode::Stq => 8,
-                Opcode::Ldl | Opcode::Stl => 4,
-                Opcode::Ldbu | Opcode::Stb => 1,
-                _ => 0,
+            debug_assert_eq!(self.base_seq + self.in_flight as u64, d.seq);
+            let cycle = self.cycle;
+            let Some(slot) = self.ring.get_mut(rob_slot(d.seq)) else {
+                break;
             };
-
-            let entry = InFlight {
+            // The slot is reused in place, its drained waiter list too.
+            debug_assert!(slot.waiters.is_empty(), "issue drains every waiter");
+            let waiters = std::mem::take(&mut slot.waiters);
+            *slot = InFlight {
                 d,
                 scheduler,
                 cluster,
@@ -665,14 +798,14 @@ impl Simulator {
                 srcs,
                 wait_count,
                 min_ready,
-                waiters: Vec::new(),
+                waiters,
                 store_data_producer,
                 store_data_time: if op.is_store() && data_reg.is_none() {
-                    Some(self.cycle) // data is r31 (zero): always ready
+                    Some(cycle) // data is r31 (zero): always ready
                 } else {
                     None
                 },
-                dispatch_cycle: self.cycle,
+                dispatch_cycle: cycle,
                 fetch_cycle: f.ready - FRONT_LATENCY,
                 issue_cycle: 0,
                 exec_start: 0,
@@ -680,14 +813,12 @@ impl Simulator {
                 timing: None,
                 complete_at: u64::MAX,
                 mispredicted: f.mispredicted,
-                mem_size,
                 dcache_miss: false,
             };
-            debug_assert_eq!(self.base_seq + self.ring.len() as u64, d.seq);
-            self.ring.push_back(entry);
+            self.in_flight += 1;
             self.waiting[scheduler].push_back(d.seq);
             if wait_count == 0 && !self.reference_sched {
-                self.insert_candidate(scheduler, d.seq);
+                self.insert_candidate(scheduler, d.seq, min_ready);
             }
             if op.is_store() && data_reg.is_some() {
                 self.pending_stores.push_back(d.seq);
@@ -705,15 +836,15 @@ impl Simulator {
     /// entries inside that cluster. On a single-cluster machine every
     /// scheduler forwards identically, so this degenerates to round-robin
     /// (chasing producers there only unbalances the window).
-    fn steer_by_dependence(&self, d: &DynInst) -> usize {
+    fn steer_by_dependence(&self, dec: &Decoded) -> usize {
         let rr = ((self.steer_counter / 2) % self.cfg.schedulers() as u64) as usize;
         if self.cfg.clusters() <= 1 {
             return rr;
         }
-        let preferred_cluster = d
-            .inst
-            .source_regs()
-            .iter()
+        let preferred_cluster = dec
+            .sources()
+            .map(|(r, _)| r)
+            .chain(dec.data)
             .filter_map(|r| self.last_writer[r.index()])
             .max()
             .and_then(|p| self.entry(p))
@@ -734,27 +865,52 @@ impl Simulator {
 
     // ---- wakeup / select / execute ------------------------------------------
 
+    /// `d`'s static instruction, decoded.
+    fn decode(&self, d: &DynInst) -> Decoded {
+        self.decoded
+            .get(d.pc)
+            .copied()
+            .unwrap_or_else(|| Decoded::new(&d.inst, &self.cfg))
+    }
+
     fn entry(&self, seq: u64) -> Option<&InFlight> {
-        let idx = seq.checked_sub(self.base_seq)? as usize;
-        self.ring.get(idx)
+        if seq.wrapping_sub(self.base_seq) >= self.in_flight as u64 {
+            return None;
+        }
+        self.ring.get(rob_slot(seq))
     }
 
     fn entry_mut(&mut self, seq: u64) -> Option<&mut InFlight> {
-        let idx = seq.checked_sub(self.base_seq)? as usize;
-        self.ring.get_mut(idx)
+        if seq.wrapping_sub(self.base_seq) >= self.in_flight as u64 {
+            return None;
+        }
+        self.ring.get_mut(rob_slot(seq))
     }
 
-    /// Is the operand available for an execution starting at `e`?
-    /// `None` producer (register file) is always available.
+    /// Is the operand available for an execution starting at `e`? The
+    /// reference scheduler's question, asked of the bypass model. `None`
+    /// producer (register file) is always available.
     fn operand_available(&self, src: &Src, cluster: usize, e: u64) -> bool {
         let Some(p) = src.producer else { return true };
         match self.entry(p) {
             None => true, // producer retired: value in the register file
             Some(prod) => match &prod.timing {
                 None => false, // not yet issued
-                Some(r) => self.bypass.available(r, src.need_tc, cluster, e),
+                Some(r) => self.bypass.available(r, src.avail.need_tc(), cluster, e),
             },
         }
+    }
+
+    /// The same question, answered from the operand's descriptor.
+    fn operand_ready(&self, src: &Src, e: u64) -> bool {
+        self.in_flight_producer(src).is_none() || src.avail.at(e)
+    }
+
+    /// The operand's producer while it is in the window; `None` once the
+    /// register file serves the operand, whatever its descriptor says: no
+    /// producer was in flight at dispatch, or it has retired since.
+    fn in_flight_producer(&self, src: &Src) -> Option<u64> {
+        src.producer.filter(|&p| p >= self.base_seq)
     }
 
     fn resolve_store_data(&mut self, seq: u64) {
@@ -815,14 +971,16 @@ impl Simulator {
 
     /// Event-driven wakeup/select. Instead of evaluating every waiting
     /// entry every cycle, each scheduler keeps a sorted candidate list an
-    /// entry enters only once its last sleeping producer issues (`wake`),
-    /// and candidates below their wakeup floor (`min_ready`) are skipped
-    /// without touching the bypass network. Skips are sound because both
-    /// conditions prove at least one operand unavailable, and the
-    /// side-effecting store-queue probe (`check_load`) only ever runs once
-    /// all register operands are available — so the evaluation sequence,
-    /// issue picks, and stall attribution are bit-identical to
-    /// `issue_reference` (pinned by the differential suite).
+    /// entry enters only once its last sleeping producer issues (`wake`)
+    /// and the execution cycle reaches its wakeup floor (`min_ready`);
+    /// until then it waits in the scheduler's floor queue. Operands are
+    /// checked against their descriptors, not the bypass network. Skips
+    /// are sound because both conditions prove at least one operand
+    /// unavailable, and the side-effecting store-queue probe
+    /// (`check_load`) only ever runs once all register operands are
+    /// available — so the evaluation sequence, issue picks, and stall
+    /// attribution are bit-identical to `issue_reference` (pinned by the
+    /// differential suite).
     fn issue_event<O: SimObserver>(&mut self, obs: &mut O) -> usize {
         let e = self.cycle + SCHED_TO_EXEC;
         let mut issued_count = 0usize;
@@ -830,6 +988,7 @@ impl Simulator {
         let upstream = self.upstream_cause();
         for s in 0..self.cfg.schedulers() {
             self.compact_waiting(s);
+            self.admit_due(s, e);
             let mut picked = 0usize;
             // Seq of the second pick: the reference scan stops right after
             // it, so no younger entry can be "the blocked one".
@@ -850,19 +1009,15 @@ impl Simulator {
                     self.candidates[s].remove(i);
                     continue;
                 }
-                if entry.min_ready > e {
-                    i += 1;
-                    continue;
-                }
-                let cluster = entry.cluster;
+                debug_assert!(entry.min_ready <= e, "listed before its floor");
                 let is_load = entry.d.inst.op.is_load();
                 let addr = entry.d.ea;
-                let size = entry.mem_size;
+                let size = self.decode(&entry.d).mem_size;
                 let mut ready = entry
                     .srcs
                     .as_slice()
                     .iter()
-                    .all(|src| self.operand_available(src, cluster, e));
+                    .all(|src| self.operand_ready(src, e));
                 let mut load_decision = LoadDecision::Cache;
                 let mut lsq_blocked = false;
                 if ready && is_load {
@@ -901,14 +1056,14 @@ impl Simulator {
             let unused = 2u64.saturating_sub(picked as u64);
             if unused > 0 {
                 let cause = match self.oldest_blocked(s, second_pick, first_unready) {
-                    Some((seq, lsq)) => self.stall_cause_of(seq, lsq, e),
+                    Some((seq, lsq)) => self.stall_cause(seq, lsq, e),
                     None => upstream,
                 };
                 self.stats.stall.charge(cause, unused);
             }
         }
         self.stats.stall.used += issued_count as u64;
-        if !any_issued && !self.ring.is_empty() {
+        if !any_issued && self.in_flight != 0 {
             self.stats.idle_issue_cycles += 1;
         }
         self.stats.issue_hist[issued_count.min(8)] += 1;
@@ -968,8 +1123,7 @@ impl Simulator {
     /// time — O(window²) in the worst cycle.
     fn compact_waiting(&mut self, s: usize) {
         let live = self
-            .cfg
-            .entries_per_scheduler()
+            .rs_entries
             .saturating_sub(self.rs_free.get(s).copied().unwrap_or(0));
         let Some(q) = self.waiting.get(s) else { return };
         if q.len() <= 2 * live + 8 {
@@ -980,45 +1134,58 @@ impl Simulator {
         self.waiting[s] = q;
     }
 
-    /// Inserts `seq` into scheduler `s`'s candidate list, keeping it
-    /// sorted (idempotent): selection must stay oldest-first to match the
-    /// reference scheduler's scan order.
-    fn insert_candidate(&mut self, s: usize, seq: u64) {
-        let Some(v) = self.candidates.get_mut(s) else {
-            return;
-        };
-        if let Err(pos) = v.binary_search(&seq) {
-            v.insert(pos, seq);
+    /// Makes `seq`, whose wakeup floor is `floor`, a candidate of
+    /// scheduler `s`: into the sorted list if this cycle's select can
+    /// already reach the floor, else into the floor queue.
+    fn insert_candidate(&mut self, s: usize, seq: u64, floor: u64) {
+        if floor > self.cycle + SCHED_TO_EXEC {
+            if let Some(q) = self.floors.get_mut(s) {
+                q.push(Reverse((floor, seq)));
+            }
+        } else if let Some(list) = self.candidates.get_mut(s) {
+            insert_sorted(list, seq);
         }
     }
 
-    /// Wakes one sleeping source of `cseq`: folds the freshly issued
-    /// producer's earliest availability into the consumer's wakeup floor
-    /// and, when this was the last outstanding producer, enters the
-    /// consumer into its scheduler's candidate list. A producer whose
-    /// result is statically unreachable for this consumer (`earliest` has
-    /// no answer) contributes floor 0 — the consumer is then evaluated
-    /// every cycle, exactly as the reference scan does, and issues once
-    /// the producer retires to the register file.
-    fn wake(&mut self, cseq: u64, src_idx: u8, timing: Option<ResultTiming>) {
-        let Some(c) = self.entry(cseq) else { return };
-        debug_assert_eq!(c.state, State::Waiting, "sleeping consumers cannot issue");
-        let (cluster, scheduler) = (c.cluster, c.scheduler);
-        let need_tc = c.srcs.get(src_idx).is_some_and(|s| s.need_tc);
-        let floor = match timing {
-            Some(r) => match self.bypass.earliest(&r, need_tc, cluster, 0) {
-                u64::MAX => 0,
-                at => at,
-            },
-            None => 0,
-        };
-        let Some(cm) = self.entry_mut(cseq) else {
+    /// Moves scheduler `s`'s queued candidates whose floor an execution
+    /// at `e` reaches into its candidate list.
+    fn admit_due(&mut self, s: usize, e: u64) {
+        let (Some(queue), Some(list)) = (self.floors.get_mut(s), self.candidates.get_mut(s)) else {
             return;
         };
-        cm.min_ready = cm.min_ready.max(floor);
-        cm.wait_count = cm.wait_count.saturating_sub(1);
-        if cm.wait_count == 0 && !self.reference_sched {
-            self.insert_candidate(scheduler, cseq);
+        while let Some(&Reverse((floor, seq))) = queue.peek() {
+            if floor > e {
+                break;
+            }
+            queue.pop();
+            insert_sorted(list, seq);
+        }
+    }
+
+    /// Wakes one sleeping source of `cseq`: describes the freshly issued
+    /// producer's availability (`timing`, and whether it is a load that
+    /// missed), folds its first cycle into the consumer's wakeup floor
+    /// and, when this was the last outstanding producer, makes the
+    /// consumer a candidate of its scheduler.
+    fn wake(&mut self, cseq: u64, src_idx: u8, timing: Option<ResultTiming>, load_missed: bool) {
+        let (bypass, reference) = (self.bypass, self.reference_sched);
+        let Some(c) = self.entry_mut(cseq) else {
+            return;
+        };
+        debug_assert_eq!(c.state, State::Waiting, "sleeping consumers cannot issue");
+        let cluster = c.cluster;
+        let Some(src) = c.srcs.as_mut_slice().get_mut(src_idx as usize) else {
+            return;
+        };
+        if let Some(r) = timing {
+            src.avail = bypass.operand(&r, src.avail.need_tc(), cluster, load_missed);
+        }
+        let floor = floor_of(&src.avail);
+        c.min_ready = c.min_ready.max(floor);
+        c.wait_count = c.wait_count.saturating_sub(1);
+        if c.wait_count == 0 && !reference {
+            let (scheduler, min_ready) = (c.scheduler, c.min_ready);
+            self.insert_candidate(scheduler, cseq, min_ready);
         }
     }
 
@@ -1059,7 +1226,7 @@ impl Simulator {
                 if ready && entry.d.inst.op.is_load() {
                     debug_assert!(entry.d.ea.is_some(), "load has an address");
                     let addr = entry.d.ea.unwrap_or_default();
-                    let size = entry.mem_size;
+                    let size = self.decode(&entry.d).mem_size;
                     load_decision = self.sq.check_load(seq, addr, size, e);
                     if load_decision == LoadDecision::Blocked {
                         ready = false;
@@ -1093,7 +1260,7 @@ impl Simulator {
             }
         }
         self.stats.stall.used += issued_count as u64;
-        if !any_issued && !self.ring.is_empty() {
+        if !any_issued && self.in_flight != 0 {
             self.stats.idle_issue_cycles += 1;
         }
         self.stats.issue_hist[issued_count.min(8)] += 1;
@@ -1102,12 +1269,54 @@ impl Simulator {
     }
 
     /// Attributes an unused issue slot: why could the oldest still-waiting
-    /// instruction (`seq`) not begin execution at cycle `e`?
+    /// instruction (`seq`) not begin execution at cycle `e`? The reference
+    /// scheduler's attribution, asked of the bypass model.
     ///
     /// The binding operand is the one that becomes available *latest* — a
     /// slot lost to both a cache miss and a conversion is charged to
     /// whichever constraint releases last.
     fn stall_cause_of(&self, seq: u64, lsq_blocked: bool, e: u64) -> StallCause {
+        self.binding_cause(seq, lsq_blocked, |src, cluster| {
+            let prod = self.entry(src.producer?)?;
+            let need_tc = src.avail.need_tc();
+            Some(match &prod.timing {
+                // Producer has not itself issued: a pure dependence wait
+                // (availability unknown, so it binds over everything).
+                None => (u64::MAX, StallCause::OperandWait),
+                Some(r) => {
+                    let reason = self.bypass.unavailable_reason(r, need_tc, cluster, e)?;
+                    let at = self.bypass.earliest(r, need_tc, cluster, e);
+                    let load_missed = prod.d.inst.op.is_load() && prod.dcache_miss;
+                    (at, reason.stall_cause(load_missed))
+                }
+            })
+        })
+    }
+
+    /// The event-driven scheduler's [`stall_cause_of`](Self::stall_cause_of),
+    /// answered from the operands' descriptors. A producer that has not
+    /// issued has a pending descriptor: in flight, available never, so it
+    /// binds over everything as a pure dependence wait.
+    fn stall_cause(&self, seq: u64, lsq_blocked: bool, e: u64) -> StallCause {
+        self.binding_cause(seq, lsq_blocked, |src, _| {
+            self.in_flight_producer(src)?;
+            let reason = src.avail.reason(e)?;
+            Some((
+                src.avail.earliest(e),
+                reason.stall_cause(src.avail.load_missed()),
+            ))
+        })
+    }
+
+    /// The attribution both schedulers share: `wait` gives each in-flight
+    /// source of `seq` still unavailable its first available cycle and
+    /// cause (`None` for the others), and the latest binds.
+    fn binding_cause(
+        &self,
+        seq: u64,
+        lsq_blocked: bool,
+        wait: impl Fn(&Src, usize) -> Option<(u64, StallCause)>,
+    ) -> StallCause {
         if lsq_blocked {
             return StallCause::Disambiguation;
         }
@@ -1116,21 +1325,8 @@ impl Simulator {
         };
         let mut worst: Option<(u64, StallCause)> = None;
         for src in entry.srcs.as_slice() {
-            let Some(p) = src.producer else { continue };
-            let Some(prod) = self.entry(p) else { continue };
-            let (at, cause) = match &prod.timing {
-                // Producer has not itself issued: a pure dependence wait
-                // (availability unknown, so it binds over everything).
-                None => (u64::MAX, StallCause::OperandWait),
-                Some(r) => {
-                    let reason = self
-                        .bypass
-                        .unavailable_reason(r, src.need_tc, entry.cluster, e);
-                    let Some(reason) = reason else { continue };
-                    let at = self.bypass.earliest(r, src.need_tc, entry.cluster, e);
-                    let load_missed = prod.d.inst.op.is_load() && prod.dcache_miss;
-                    (at, reason.stall_cause(load_missed))
-                }
+            let Some((at, cause)) = wait(src, entry.cluster) else {
+                continue;
             };
             if worst.is_none_or(|(t, _)| at >= t) {
                 worst = Some((at, cause));
@@ -1156,16 +1352,14 @@ impl Simulator {
             debug_assert!(false, "issuing entry exists");
             return;
         };
-        let (op, ea, cluster, mem_size, mispredicted, has_dest) = (
+        let (op, ea, cluster, mispredicted) = (
             entry.d.inst.op,
             entry.d.ea,
             entry.cluster,
-            entry.mem_size,
             entry.mispredicted,
-            entry.d.inst.dest().is_some(),
         );
-        let lat = self.cfg.exec_latency(op);
-        let exec_end = e + lat - 1;
+        let dec = self.decode(&entry.d);
+        let exec_end = e + dec.latency - 1;
 
         let mut timing = None;
         let mut complete_at;
@@ -1191,13 +1385,13 @@ impl Simulator {
         } else if op.is_store() {
             debug_assert!(ea.is_some(), "store has an address");
             let addr = ea.unwrap_or_default();
-            self.sq.set_address(seq, addr, mem_size, e + 1);
+            self.sq.set_address(seq, addr, dec.mem_size, e + 1);
             // Completion is checked at retire (needs data too).
             complete_at = u64::MAX;
         } else {
-            let rb = self.cfg.result_is_rb(op);
+            let rb = dec.rb;
             let tc_ready = exec_end + if rb { self.cfg.conversion_latency } else { 0 };
-            if has_dest {
+            if dec.dest.is_some() {
                 timing = Some(ResultTiming {
                     ready: exec_end,
                     rb,
@@ -1229,55 +1423,74 @@ impl Simulator {
         entry.exec_start = e;
         entry.exec_end = exec_end;
         let scheduler = entry.scheduler;
-        let waiters = std::mem::take(&mut entry.waiters);
+        let mut waiters = std::mem::take(&mut entry.waiters);
         self.rs_free[scheduler] += 1;
         // The result timing is now known: wake the sleeping consumers.
-        for (cseq, idx) in waiters {
-            self.wake(cseq, idx, timing);
+        for &(cseq, idx) in &waiters {
+            self.wake(cseq, idx, timing, dcache_miss);
+        }
+        // Give the drained vector back for the slot's next occupant.
+        waiters.clear();
+        if let Some(entry) = self.entry_mut(seq) {
+            entry.waiters = waiters;
         }
     }
 
+    /// Figure 13/14 accounting for `seq` issuing at `e`, read from its
+    /// operands' descriptors (both schedulers; debug builds check every
+    /// answer against the bypass model).
     fn record_bypass_stats<O: SimObserver>(&mut self, seq: u64, e: u64, obs: &mut O) {
         let Some(entry) = self.entry(seq) else { return };
         if entry.srcs.is_empty() {
             return;
         }
         let cluster = entry.cluster;
-        let srcs = entry.srcs; // inline copy: no allocation on the issue path
         let mut any_bypassed = false;
         let mut bypassed_ops = 0u64;
         let mut regfile_ops = 0u64;
         let mut level_counts = [0u64; 3];
-        let mut last: Option<(u64, bool, bool)> = None; // (earliest, bypassed, case-rb)
-        let mut last_need_tc = false;
-        for src in srcs.as_slice() {
-            let Some(p) = src.producer else {
+        let mut last: Option<(u64, bool, BypassCase)> = None; // (earliest, bypassed, case)
+        for src in entry.srcs.as_slice() {
+            let Some(p) = self.in_flight_producer(src) else {
                 regfile_ops += 1;
                 continue;
             };
-            let Some(prod) = self.entry(p) else {
-                regfile_ops += 1;
+            let a = src.avail;
+            if !a.issued() {
                 continue;
-            };
-            let Some(r) = prod.timing.as_ref() else {
-                continue;
-            };
-            let earliest = self.bypass.earliest(r, src.need_tc, cluster, 0);
-            let bypassed = self.bypass.from_bypass(r, src.need_tc, cluster, e);
+            }
+            let earliest = a.earliest(0);
+            let bypassed = a.from_bypass(e);
+            let level = a.level(e);
+            debug_assert_eq!(
+                self.entry(p).and_then(|prod| prod.timing).map(|r| {
+                    let need_tc = a.need_tc();
+                    (
+                        self.bypass.earliest(&r, need_tc, cluster, 0),
+                        self.bypass.from_bypass(&r, need_tc, cluster, e),
+                        self.bypass.level_used(&r, need_tc, cluster, e),
+                    )
+                }),
+                Some((earliest, bypassed, level)),
+                "descriptor disagrees with the bypass model"
+            );
             if bypassed {
                 any_bypassed = true;
                 bypassed_ops += 1;
                 // Figure 14 attribution: which forwarding level served it.
-                if let Some(l) = self.bypass.level_used(r, src.need_tc, cluster, e) {
+                if let Some(l) = level {
                     level_counts[(l - 1) as usize] += 1;
-                    obs.on_bypass(l, BypassCase::classify(r.rb, src.need_tc));
+                    obs.on_bypass(l, BypassCase::classify(a.rb(), a.need_tc()));
                 }
             } else {
                 regfile_ops += 1;
             }
             if last.is_none_or(|(t, _, _)| earliest >= t) {
-                last = Some((earliest, bypassed, r.rb));
-                last_need_tc = src.need_tc;
+                last = Some((
+                    earliest,
+                    bypassed,
+                    BypassCase::classify(a.rb(), a.need_tc()),
+                ));
             }
         }
         self.stats.bypassed_operands += bypassed_ops;
@@ -1289,12 +1502,8 @@ impl Simulator {
         if any_bypassed {
             self.stats.bypass_cases.insts_with_bypass += 1;
         }
-        if let Some((_, bypassed, prod_rb)) = last {
-            if bypassed {
-                self.stats
-                    .bypass_cases
-                    .record(BypassCase::classify(prod_rb, last_need_tc));
-            }
+        if let Some((_, true, case)) = last {
+            self.stats.bypass_cases.record(case);
         }
     }
 
@@ -1303,7 +1512,9 @@ impl Simulator {
     fn retire<O: SimObserver>(&mut self, obs: &mut O) -> usize {
         let mut n = 0usize;
         while n < FRONT_WIDTH {
-            let Some(head) = self.ring.front() else { break };
+            let Some(head) = self.entry(self.base_seq) else {
+                break;
+            };
             if head.state != State::Issued {
                 break;
             }
@@ -1325,10 +1536,11 @@ impl Simulator {
             } else if complete_at > self.cycle {
                 break;
             }
-            let Some(head) = self.ring.pop_front() else {
+            let Some(head) = self.ring.get(rob_slot(seq)) else {
                 break;
             };
             self.base_seq += 1;
+            self.in_flight -= 1;
             self.stats.retired += 1;
             self.stats.table1.record(head.d.inst.op);
             let (rb, tc_ready) = match &head.timing {
@@ -1360,9 +1572,7 @@ impl std::fmt::Debug for Simulator {
         write!(
             f,
             "Simulator {{ cycle: {}, retired: {}, in-flight: {} }}",
-            self.cycle,
-            self.stats.retired,
-            self.ring.len()
+            self.cycle, self.stats.retired, self.in_flight
         )
     }
 }

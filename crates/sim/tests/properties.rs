@@ -5,7 +5,7 @@
 //! workspace builds offline, so there is no proptest); a failing case
 //! prints its seed for standalone reproduction.
 
-use redbin_sim::bypass::{BypassModel, ResultTiming};
+use redbin_sim::bypass::{BypassModel, OperandAvail, ResultTiming};
 use redbin_sim::cache::{Banks, Cache, Lookup, MemoryHierarchy};
 use redbin_sim::config::{BypassLevels, CoreModel, MachineConfig};
 use redbin_sim::lsq::{LoadDecision, StoreQueue};
@@ -145,6 +145,133 @@ fn fewer_bypass_levels_never_help() {
         let t = timing_for(CoreModel::Ideal, ready, false);
         assert!(cut.earliest(&t, need_tc, 0, from) >= full.earliest(&t, need_tc, 0, from));
     });
+}
+
+#[test]
+fn operand_descriptors_answer_as_the_model_does() {
+    use redbin_sim::bypass::UnavailableReason;
+    // Every machine shape the descriptor encodes: the four models, all
+    // eight level subsets (`No-1,2,3` included), with and without the
+    // RB-RF-only datapath, conversion latencies 0-8 and cluster delays
+    // 0-3; a 2's-complement or redundant producer, read in either format
+    // from its own cluster or the other one.
+    let ready = 10;
+    let mut checked = 0u64;
+    for &model in CoreModel::all() {
+        for mask in 0..8u8 {
+            let levels = BypassLevels {
+                l1: mask & 1 != 0,
+                l2: mask & 2 != 0,
+                l3: mask & 4 != 0,
+            };
+            for rb_rf_only in [false, true] {
+                for conversion in 0..=8u64 {
+                    for delay in 0..=3u64 {
+                        let mut cfg = MachineConfig::new(model, 8).with_bypass(levels);
+                        cfg.rb_rf_only = rb_rf_only;
+                        cfg.conversion_latency = conversion;
+                        cfg.cluster_delay = delay;
+                        let m = BypassModel::new(&cfg);
+                        for rb in [false, true] {
+                            if rb && !model.is_rb() {
+                                continue; // only the RB machines produce redundant results
+                            }
+                            let r = ResultTiming {
+                                ready,
+                                rb,
+                                tc_ready: if rb { ready + conversion } else { ready },
+                                cluster: 0,
+                            };
+                            for need_tc in [false, true] {
+                                for consumer in [0, 1] {
+                                    for load_missed in [false, true] {
+                                        let a = m.operand(&r, need_tc, consumer, load_missed);
+                                        let label = format!(
+                                            "{model} {} rb_rf_only={rb_rf_only} cv={conversion} \
+                                             x={delay} rb={rb} need_tc={need_tc} \
+                                             cluster={consumer}",
+                                            levels.label()
+                                        );
+                                        checked +=
+                                            check_descriptor(&m, &r, need_tc, consumer, &a, &label);
+                                        assert_eq!(a.load_missed(), load_missed, "{label}");
+                                        assert_eq!(a.rb(), rb, "{label}");
+                                        assert_eq!(a.need_tc(), need_tc, "{label}");
+                                        assert!(a.issued(), "{label}");
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 1_000_000, "only {checked} answers compared");
+    // A producer that has not issued: in flight, never available.
+    let pending = OperandAvail::pending(true);
+    assert!(!pending.issued() && pending.need_tc() && !pending.load_missed());
+    for e in [0, 1, 1000] {
+        assert!(!pending.at(e));
+        assert_eq!(pending.earliest(e), u64::MAX);
+        assert_eq!(pending.reason(e), Some(UnavailableReason::InFlight));
+    }
+}
+
+/// Compares every answer of descriptor `a` with the model's for the same
+/// operand at each cycle up to eight past the register file (or, when no
+/// register file ever serves it, well past the conversion); returns the
+/// number of answers compared.
+fn check_descriptor(
+    m: &BypassModel,
+    r: &ResultTiming,
+    need_tc: bool,
+    consumer: usize,
+    a: &OperandAvail,
+    label: &str,
+) -> u64 {
+    let rf = m.rf_start(r, need_tc, consumer);
+    assert_eq!(a.rf_start(), rf, "{label}: rf_start");
+    assert_eq!(
+        a.in_flight_until(),
+        m.in_flight_until(r, consumer),
+        "{label}: in_flight_until"
+    );
+    let last = if rf == u64::MAX {
+        r.tc_ready + 16
+    } else {
+        rf + 8
+    };
+    let mut n = 2;
+    for e in 0..=last {
+        assert_eq!(
+            a.at(e),
+            m.available(r, need_tc, consumer, e),
+            "{label}: at {e}"
+        );
+        assert_eq!(
+            a.earliest(e),
+            m.earliest(r, need_tc, consumer, e),
+            "{label}: earliest from {e}"
+        );
+        assert_eq!(
+            a.reason(e),
+            m.unavailable_reason(r, need_tc, consumer, e),
+            "{label}: reason at {e}"
+        );
+        assert_eq!(
+            a.from_bypass(e),
+            m.from_bypass(r, need_tc, consumer, e),
+            "{label}: from_bypass at {e}"
+        );
+        assert_eq!(
+            a.level(e),
+            m.level_used(r, need_tc, consumer, e),
+            "{label}: level at {e}"
+        );
+        n += 5;
+    }
+    n
 }
 
 #[test]

@@ -138,6 +138,47 @@ fn schedulers_agree_on_a_memory_bound_kernel_under_every_ablation() {
 }
 
 #[test]
+fn schedulers_agree_on_the_ablation_machines() {
+    // The machines `redbin-repro ablations` runs: each sweep's values are
+    // exactly what an operand's availability descriptor encodes
+    // (conversion latency, cluster delay), plus the window sweep and the
+    // steering comparison.
+    let mut cases: Vec<(String, MachineConfig)> = Vec::new();
+    for conversion in [1u64, 2, 3, 4] {
+        let mut m = MachineConfig::rb_full(8);
+        m.conversion_latency = conversion;
+        cases.push((format!("rb_full w8 conversion {conversion}"), m));
+    }
+    for delay in [0u64, 1, 2, 3] {
+        let mut m = MachineConfig::ideal(8);
+        m.cluster_delay = delay;
+        cases.push((format!("ideal w8 cluster delay {delay}"), m));
+    }
+    for window in [32usize, 64, 128, 256] {
+        let mut m = MachineConfig::ideal(8);
+        m.window = window;
+        cases.push((format!("ideal w8 window {window}"), m));
+    }
+    for policy in [
+        SteeringPolicy::RoundRobinPairs,
+        SteeringPolicy::DependenceAware,
+    ] {
+        for width in [4usize, 8] {
+            cases.push((
+                format!("rb_limited w{width} {}", policy.name()),
+                MachineConfig::rb_limited(width).with_steering(policy),
+            ));
+        }
+    }
+    for b in [Benchmark::Mcf, Benchmark::Gap, Benchmark::Go] {
+        let program = b.program(Scale::Test);
+        for (label, cfg) in &cases {
+            assert_schedulers_agree(cfg, &program, &format!("{b:?} {label}"));
+        }
+    }
+}
+
+#[test]
 fn schedulers_agree_on_the_faithful_datapath() {
     let program = Benchmark::Gzip.program(Scale::Test);
     let cfg = MachineConfig::rb_full(8).with_datapath(DatapathMode::Faithful);
