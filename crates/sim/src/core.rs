@@ -15,6 +15,7 @@
     )
 )]
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -290,6 +291,16 @@ struct FetchedInst {
     mispredicted: bool,
 }
 
+thread_local! {
+    /// The ROB of the last simulator dropped on this thread, taken by the
+    /// next one built here. Its `ROB_ENTRIES` slots (106 KB) are a
+    /// simulator's largest allocation. Freed and made again per run, they
+    /// let the allocator hand heap pages back to the kernel and fault them
+    /// in again; on short simulations, such as the differential oracle's,
+    /// that cost came and went from one process to the next.
+    static SPARE_RING: Cell<Vec<InFlight>> = const { Cell::new(Vec::new()) };
+}
+
 /// The cycle-level simulator. Construct with a [`MachineConfig`] and a
 /// program, then [`run`](Simulator::run) it to completion.
 pub struct Simulator {
@@ -312,7 +323,9 @@ pub struct Simulator {
 
     fetch_q: VecDeque<FetchedInst>,
     /// The ROB: `ROB_ENTRIES` slots, instruction `seq` in `rob_slot(seq)`.
-    /// The `in_flight` instructions from `base_seq` on occupy it.
+    /// The `in_flight` instructions from `base_seq` on occupy it; the
+    /// other slots hold stale entries. Taken from `SPARE_RING` and given
+    /// back on drop.
     ring: Vec<InFlight>,
     base_seq: u64,
     in_flight: usize,
@@ -348,6 +361,19 @@ pub struct Simulator {
     reference_sched: bool,
 }
 
+impl Drop for Simulator {
+    /// Hands the ROB, its waiter lists emptied, to the next simulator
+    /// built on this thread.
+    fn drop(&mut self) {
+        let mut ring = std::mem::take(&mut self.ring);
+        for slot in &mut ring {
+            slot.waiters.clear();
+        }
+        // Fails only while the thread is exiting; the ring is freed then.
+        let _ = SPARE_RING.try_with(|spare| spare.set(ring));
+    }
+}
+
 impl Simulator {
     /// Builds a simulator for `program` on the configured machine.
     pub fn new(cfg: MachineConfig, program: &Program) -> Self {
@@ -364,6 +390,10 @@ impl Simulator {
         let waiting = vec![VecDeque::new(); cfg.schedulers()];
         let candidates = vec![Vec::new(); cfg.schedulers()];
         let floors = vec![BinaryHeap::new(); cfg.schedulers()];
+        // A reused ring keeps its last run's entries: dispatch overwrites a
+        // slot before anything reads it, and `drop` emptied the waiters.
+        let mut ring = SPARE_RING.try_with(Cell::take).unwrap_or_default();
+        ring.resize_with(ROB_ENTRIES, InFlight::vacant);
         Simulator {
             cfg,
             oracle,
@@ -379,7 +409,7 @@ impl Simulator {
             oracle_done: false,
             peeked: None,
             fetch_q: VecDeque::new(),
-            ring: vec![InFlight::vacant(); ROB_ENTRIES],
+            ring,
             base_seq: 0,
             in_flight: 0,
             rs_entries,
