@@ -2,22 +2,22 @@
 //! suites.
 //!
 //! Any program the workspace can express is validated three independent
-//! ways, each pair of executions sharing nothing but the ISA definition:
+//! ways:
 //!
-//! 1. **Emulator vs. fast simulator** — the standalone
-//!    [`Emulator`] and the timing simulator's
-//!    embedded oracle must finish in the same
+//! 1. **Emulator vs. fast simulator** — the standalone [`Emulator`] and
+//!    the timing simulator's embedded oracle must finish in the same
 //!    [`ArchState`](redbin_isa::ArchState) (registers, pc, retirement
 //!    count, memory digest).
-//! 2. **Fast vs. faithful datapath** — running the redundant-binary
-//!    shadow datapath must change *nothing* observable: identical
-//!    architectural state and bit-identical [`SimStats`] except the
-//!    fidelity-check counter itself.
+//! 2. **Redundant datapath** — [`redbin_sim::fidelity::check`]
+//!    recomputes every redundant-capable operation, branch test and
+//!    modified-SAM row of the retired stream on the redundant-binary
+//!    shadow datapath, which must agree with the emulator everywhere.
 //! 3. **Event-driven vs. reference scheduler** — the optimized wakeup
 //!    scheduler must match the retained `issue_reference` implementation
 //!    statistic for statistic.
 //!
-//! [`check_program`] runs all three legs for one program/machine pair.
+//! [`check_program`] runs all three legs for one program/machine pair:
+//! one emulation, one redundant-datapath pass and two timing simulations.
 //! [`check_seed`] feeds a [`redbin_workload::fuzz`] torture program plus
 //! a seed-derived machine configuration through the same oracle and, on
 //! failure, packages everything needed to reproduce: the seed, the
@@ -50,11 +50,11 @@ pub struct OracleVerdict {
     /// Retired instructions (identical across all executions by
     /// construction — the oracle fails otherwise).
     pub retired: u64,
-    /// Simulated cycles of the fast run.
+    /// Simulated cycles of the timing run.
     pub cycles: u64,
-    /// IPC of the fast run.
+    /// IPC of the timing run.
     pub ipc: f64,
-    /// Fidelity assertions the faithful leg executed.
+    /// Comparisons the redundant-datapath leg made.
     pub fidelity_checks: u64,
 }
 
@@ -63,8 +63,9 @@ pub struct OracleVerdict {
 pub struct OracleFailure {
     /// The program's name.
     pub program: String,
-    /// Which comparison failed (`"emulator"`, `"emulator-vs-fast"`,
-    /// `"fast-vs-faithful"`, `"event-driven-vs-reference"`, …).
+    /// Which comparison failed: `"emulator"`, `"fast-simulator"`,
+    /// `"emulator-vs-fast"`, `"redundant-datapath"`, `"reference-scheduler"`
+    /// or `"event-driven-vs-reference"`.
     pub leg: &'static str,
     /// Human-readable detail: the first diverging field, or the error.
     pub detail: String,
@@ -121,8 +122,8 @@ fn fail(program: &Program, leg: &'static str, detail: impl Into<String>) -> Orac
 
 /// Runs the three-way differential oracle for one program on one machine.
 ///
-/// `base`'s datapath mode is ignored: the oracle always runs both the
-/// fast and the faithful datapath itself.
+/// `base`'s datapath mode is ignored: the oracle runs the redundant
+/// datapath itself, once, and simulates on the fast datapath.
 ///
 /// # Errors
 ///
@@ -131,13 +132,13 @@ pub fn check_program(
     program: &Program,
     base: &MachineConfig,
 ) -> Result<OracleVerdict, OracleFailure> {
-    // Leg 0: the standalone emulator defines the architectural truth.
+    // The standalone emulator defines the architectural truth.
     let mut emu = Emulator::new(program);
     emu.run(EMULATOR_STEP_BOUND)
         .map_err(|e| fail(program, "emulator", e.to_string()))?;
     let expect = emu.arch_state();
 
-    // Leg 1: the fast simulator must land in the same architectural state.
+    // The fast simulator must land in the same architectural state.
     let fast_cfg = base.clone().with_datapath(DatapathMode::Fast);
     let (fast, fast_arch) = Simulator::new(fast_cfg.clone(), program)
         .run_with_arch()
@@ -146,25 +147,11 @@ pub fn check_program(
         return Err(fail(program, "emulator-vs-fast", d));
     }
 
-    // Leg 2: the faithful datapath is a checker, not a behavior change.
-    let faithful_cfg = base.clone().with_datapath(DatapathMode::Faithful);
-    let (mut faithful, faithful_arch) = Simulator::new(faithful_cfg, program)
-        .run_with_arch()
-        .map_err(|e| fail(program, "faithful-simulator", e.to_string()))?;
-    if let Some(d) = expect.diff(&faithful_arch) {
-        return Err(fail(program, "emulator-vs-faithful", d));
-    }
-    let fidelity_checks = faithful.fidelity_checks;
-    faithful.fidelity_checks = fast.fidelity_checks;
-    if fast != faithful {
-        return Err(fail(
-            program,
-            "fast-vs-faithful",
-            stats_diff(&fast, &faithful),
-        ));
-    }
+    // The redundant datapath must compute what the emulator does.
+    let fidelity_checks = redbin_sim::fidelity::check(program, EMULATOR_STEP_BOUND)
+        .map_err(|d| fail(program, "redundant-datapath", d.to_string()))?;
 
-    // Leg 3: the event-driven scheduler against the retained reference.
+    // The event-driven scheduler against the retained reference.
     let reference = Simulator::new(fast_cfg, program)
         .with_reference_scheduler()
         .run()
@@ -264,7 +251,7 @@ mod tests {
         let program = Benchmark::Gzip.program(Scale::Test);
         let verdict = check_program(&program, &MachineConfig::rb_full(8)).expect("clean");
         assert!(verdict.retired > 0);
-        assert!(verdict.fidelity_checks > 0, "faithful leg must check");
+        assert!(verdict.fidelity_checks > 0, "the datapath leg must check");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   the §3.4 delay table), each simulating through one parallel
 //!   programs × machines runner.
 //! * [`differential`] — the three-way differential oracle (emulator vs.
-//!   fast simulator vs. faithful datapath vs. reference scheduler) behind
-//!   the fuzz and whole-program suites.
+//!   fast simulator, the redundant-datapath check, and event-driven vs.
+//!   reference scheduler) behind the fuzz and whole-program suites.
 //! * [`report`] — plain-text rendering of experiment results.
 //! * [`json`] — dependency-free structured JSON output for every experiment
 //!   (the `--json` flag of `redbin-repro`).

@@ -130,11 +130,6 @@ impl Emulator {
         }
     }
 
-    /// The current program counter (instruction index).
-    pub fn pc(&self) -> usize {
-        self.pc
-    }
-
     /// The instruction at the current program counter — the one the next
     /// [`step`](Self::step) executes — or `None` if the pc is outside the
     /// code.

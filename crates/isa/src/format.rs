@@ -159,6 +159,7 @@ pub fn table1_row(op: Opcode) -> Table1Row {
 /// A dynamic-instruction histogram over Table 1 rows.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Table1Counts {
+    /// Indexed by `Table1Row as usize`.
     counts: [u64; 8],
     total: u64,
 }
@@ -171,12 +172,7 @@ impl Table1Counts {
 
     /// Records one dynamic instruction.
     pub fn record(&mut self, op: Opcode) {
-        let row = table1_row(op);
-        let idx = Table1Row::all()
-            .iter()
-            .position(|r| *r == row)
-            .expect("row");
-        self.counts[idx] += 1;
+        self.counts[table1_row(op) as usize] += 1;
         self.total += 1;
     }
 
@@ -190,11 +186,7 @@ impl Table1Counts {
         if self.total == 0 {
             return 0.0;
         }
-        let idx = Table1Row::all()
-            .iter()
-            .position(|r| *r == row)
-            .expect("row");
-        100.0 * self.counts[idx] as f64 / self.total as f64
+        100.0 * self.counts[row as usize] as f64 / self.total as f64
     }
 
     /// Merges another histogram into this one.

@@ -250,16 +250,18 @@ impl SteeringPolicy {
     }
 }
 
-/// Whether ALU results are recomputed through the redundant binary
-/// datapath and checked against the architectural oracle.
+/// Whether a simulation first checks the program on the redundant binary
+/// datapath.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatapathMode {
     /// Values come from the architectural emulator only (fast).
     Fast,
-    /// Redundant-capable operations are additionally computed with
-    /// `redbin-arith` (redundant adders, digit shifts, SAM decoders) and
-    /// asserted equal to the oracle — a whole-program hardware-algorithm
-    /// check.
+    /// The run starts with [`fidelity::check`](crate::fidelity::check):
+    /// redundant-capable operations are computed with `redbin-arith`
+    /// (redundant adders, digit shifts, SAM decoders) and compared with
+    /// the emulator — a whole-program hardware-algorithm check. Its count
+    /// is `SimStats::fidelity_checks`; every other statistic is the fast
+    /// run's.
     Faithful,
 }
 

@@ -26,9 +26,10 @@ use crate::bpred::BranchPredictor;
 use crate::bypass::{BypassModel, OperandAvail, ResultTiming};
 use crate::cache::{MemoryHierarchy, ServedBy};
 use crate::config::{
-    MachineConfig, SteeringPolicy, DCACHE, FETCH_BLOCKS, FETCH_QUEUE, FRONT_LATENCY, FRONT_WIDTH,
-    ICACHE, L2, MEMORY, ROB_ENTRIES, SCHED_TO_EXEC,
+    DatapathMode, MachineConfig, SteeringPolicy, DCACHE, FETCH_BLOCKS, FETCH_QUEUE, FRONT_LATENCY,
+    FRONT_WIDTH, ICACHE, L2, MEMORY, ROB_ENTRIES, SCHED_TO_EXEC,
 };
+use crate::fidelity::{self, Divergence};
 use crate::lsq::{LoadDecision, StoreQueue};
 use crate::observer::{NoopObserver, RetireEvent, SimObserver, Stage, TraceObserver};
 use crate::oracle::{DynInst, Oracle};
@@ -42,6 +43,8 @@ pub enum SimError {
     Oracle(StepError),
     /// The run exceeded the configured cycle limit.
     CycleLimit(u64),
+    /// The redundant datapath disagreed with the emulator (Faithful only).
+    Fidelity(Divergence),
 }
 
 impl std::fmt::Display for SimError {
@@ -49,6 +52,7 @@ impl std::fmt::Display for SimError {
         match self {
             SimError::Oracle(e) => write!(f, "oracle fault: {e}"),
             SimError::CycleLimit(c) => write!(f, "exceeded cycle limit {c}"),
+            SimError::Fidelity(d) => d.fmt(f),
         }
     }
 }
@@ -306,6 +310,8 @@ thread_local! {
 pub struct Simulator {
     cfg: MachineConfig,
     oracle: Oracle,
+    /// A Faithful machine's program, checked on the redundant datapath first.
+    faithful: Option<Program>,
     /// The program's instructions decoded for rename and issue, by pc.
     decoded: Vec<Decoded>,
     bypass: BypassModel,
@@ -377,7 +383,8 @@ impl Drop for Simulator {
 impl Simulator {
     /// Builds a simulator for `program` on the configured machine.
     pub fn new(cfg: MachineConfig, program: &Program) -> Self {
-        let oracle = Oracle::new(program, cfg.datapath);
+        let oracle = Oracle::new(program);
+        let faithful = (cfg.datapath == DatapathMode::Faithful).then(|| program.clone());
         let decoded = program
             .code
             .iter()
@@ -397,6 +404,7 @@ impl Simulator {
         Simulator {
             cfg,
             oracle,
+            faithful,
             decoded,
             bypass,
             bpred: BranchPredictor::new(),
@@ -492,6 +500,16 @@ impl Simulator {
     }
 
     fn run_loop<O: SimObserver>(&mut self, obs: &mut O) -> Result<(), SimError> {
+        if let Some(program) = self.faithful.take() {
+            // The timing run fetches at most `FRONT_WIDTH` instructions a
+            // cycle, so within its cycle limit it never gets further.
+            let steps = match self.cfg.max_cycles {
+                0 => u64::MAX,
+                limit => limit.saturating_mul(FRONT_WIDTH as u64),
+            };
+            self.stats.fidelity_checks =
+                fidelity::check(&program, steps).map_err(SimError::Fidelity)?;
+        }
         loop {
             self.cycle += 1;
             if self.cfg.max_cycles != 0 && self.cycle > self.cfg.max_cycles {
@@ -651,7 +669,6 @@ impl Simulator {
     fn finish_stats(&mut self) -> SimStats {
         self.stats.cycles = self.cycle;
         self.stats.width = self.cfg.width as u64;
-        self.stats.fidelity_checks = self.oracle.fidelity_checks();
         self.stats.icache_misses = self.mem.l1i.misses();
         self.stats.dcache_accesses = self.mem.l1d.accesses();
         self.stats.dcache_misses = self.mem.l1d.misses();
@@ -1572,7 +1589,6 @@ impl Simulator {
             self.base_seq += 1;
             self.in_flight -= 1;
             self.stats.retired += 1;
-            self.stats.table1.record(head.d.inst.op);
             let (rb, tc_ready) = match &head.timing {
                 Some(t) => (t.rb, t.tc_ready),
                 None => (false, head.exec_end),
@@ -1610,7 +1626,7 @@ impl std::fmt::Debug for Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{CoreModel, DatapathMode};
+    use crate::config::CoreModel;
     use redbin_isa::{Inst, Operand, Reg};
 
     /// A loop whose body is `body` instructions produced by `f(i)`,
@@ -1768,11 +1784,18 @@ mod tests {
 
     #[test]
     fn cycle_limit_is_enforced() {
-        let p = chain_program(102_400);
-        let mut cfg = MachineConfig::ideal(8);
-        cfg.max_cycles = 100;
-        let err = Simulator::new(cfg, &p).run().unwrap_err();
-        assert_eq!(err, SimError::CycleLimit(100));
+        // An add and a branch back to it never halt. A Faithful machine's
+        // redundant-datapath check stops where the timing run would.
+        let spin = Program::new(vec![
+            Inst::op(Opcode::Addq, Reg(1), Operand::Imm(1), Reg(1)),
+            Inst::br(-2),
+        ]);
+        for mode in [DatapathMode::Fast, DatapathMode::Faithful] {
+            let mut cfg = MachineConfig::ideal(8).with_datapath(mode);
+            cfg.max_cycles = 10_000;
+            let err = Simulator::new(cfg, &spin).run().unwrap_err();
+            assert_eq!(err, SimError::CycleLimit(10_000), "{mode:?}");
+        }
     }
 
     #[test]
@@ -1859,7 +1882,6 @@ mod tests {
         let stats = run(MachineConfig::ideal(4), &p);
         // 1 init + 24 iterations × 34 body/loop instructions.
         assert_eq!(stats.retired, 1 + 24 * 34);
-        assert_eq!(stats.table1.total(), stats.retired);
     }
 
     #[test]

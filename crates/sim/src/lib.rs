@@ -49,6 +49,7 @@ pub mod bypass;
 pub mod cache;
 pub mod config;
 pub mod core;
+pub mod fidelity;
 pub mod hash;
 pub mod lsq;
 pub mod observer;

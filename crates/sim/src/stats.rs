@@ -8,8 +8,6 @@
     clippy::match_wildcard_for_single_variants
 )]
 
-use redbin_isa::format::Table1Counts;
-
 /// Why an issue slot went unused in some cycle — the stall taxonomy.
 ///
 /// Every cycle the machine has `width` issue slots. Slots that issue an
@@ -238,8 +236,6 @@ pub struct SimStats {
     pub width: u64,
     /// Retired (correct-path) instructions.
     pub retired: u64,
-    /// Dynamic Table 1 classification of the retired stream.
-    pub table1: Table1Counts,
     /// Conditional-branch direction lookups and mispredicts.
     pub branches: u64,
     /// Control-flow mispredictions that redirected fetch.
@@ -269,7 +265,8 @@ pub struct SimStats {
     pub bypass_levels: [u64; 3],
     /// Operands sourced from the register file.
     pub regfile_operands: u64,
-    /// Redundant-datapath fidelity assertions that ran (faithful mode).
+    /// Comparisons the redundant-datapath check made (Faithful machines
+    /// only; see [`crate::fidelity`]).
     pub fidelity_checks: u64,
     /// Cycles in which no instruction could be selected anywhere.
     pub idle_issue_cycles: u64,

@@ -8,8 +8,8 @@
 //! [`text`], and paired with a Rust reference implementation
 //! that predicts the program's final checksum (left in `r9` — see
 //! [`CHECKSUM_REG`]) bit-for-bit. The differential test harness runs the
-//! emulator and both simulator datapaths over every program and compares
-//! the architectural results against these references.
+//! emulator, the redundant-datapath check and the simulator over every
+//! program and compares the architectural results against these references.
 //!
 //! All randomness comes from the shared MMIX LCG in `programs/fill.s`,
 //! mirrored exactly by `lcg`-based reference code here, so assembly and

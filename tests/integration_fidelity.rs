@@ -1,14 +1,15 @@
-//! Whole-program redundant-datapath fidelity: every benchmark proxy runs
-//! with the faithful shadow datapath, in which all redundant-capable
-//! operations are computed with `redbin-arith`'s hardware algorithms over
-//! genuinely redundant (unconverted) register values and checked against
-//! the architectural oracle, and every load/store index goes through the
-//! 3-input modified SAM decoder.
+//! Whole-program redundant-datapath fidelity: `redbin::sim::fidelity::check`
+//! computes every redundant-capable operation of the benchmark proxies and
+//! whole programs with `redbin-arith`'s hardware algorithms over genuinely
+//! redundant (unconverted) register values, checks each against the
+//! emulator, and pushes every load/store index through the 3-input
+//! modified SAM decoder. A Faithful simulation runs that pass first.
 //!
 //! A failure here would mean the redundant machine computes different
 //! answers than the 2's-complement machine — the paper's whole premise.
 
 use redbin::prelude::*;
+use redbin::sim::fidelity;
 
 #[test]
 fn faithful_datapath_agrees_on_all_twenty_benchmarks() {
@@ -27,21 +28,36 @@ fn faithful_datapath_agrees_on_all_twenty_benchmarks() {
     }
 }
 
+/// On the 20 kernels and 5 whole programs, wide and narrow, a Faithful
+/// run reports exactly the fast run's statistics plus the pass's count.
 #[test]
-fn faithful_mode_does_not_change_timing() {
-    // The shadow datapath is an observer: IPC must be identical.
-    let program = Benchmark::Gap.program(Scale::Test);
-    let fast = Simulator::new(MachineConfig::rb_limited(4), &program)
-        .run()
-        .expect("runs");
-    let faithful = Simulator::new(
-        MachineConfig::rb_limited(4).with_datapath(DatapathMode::Faithful),
-        &program,
-    )
-    .run()
-    .expect("runs");
-    assert_eq!(fast.cycles, faithful.cycles);
-    assert_eq!(fast.retired, faithful.retired);
+fn faithful_runs_are_fast_runs_plus_the_pass() {
+    use redbin::workload::WholeProgram;
+    let programs = Benchmark::all()
+        .into_iter()
+        .map(|b| b.program(Scale::Test))
+        .chain(WholeProgram::all().iter().map(|wp| wp.program(Scale::Test)));
+    for program in programs {
+        let name = &program.name;
+        let checks = fidelity::check(&program, u64::MAX).unwrap_or_else(|d| panic!("{name}: {d}"));
+        assert!(checks > 0, "{name}: the pass checked nothing");
+        let run = |config| {
+            Simulator::new(config, &program)
+                .run()
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+        };
+        for config in [MachineConfig::rb_full(8), MachineConfig::rb_limited(4)] {
+            let label = format!("{name} on {} {}-wide", config.model, config.width);
+            let fast = run(config.clone());
+            assert_eq!(fast.fidelity_checks, 0, "{label}: fast mode must not check");
+            let faithful = run(config.with_datapath(DatapathMode::Faithful));
+            let expect = SimStats {
+                fidelity_checks: checks,
+                ..fast
+            };
+            assert_eq!(faithful, expect, "{label}");
+        }
+    }
 }
 
 #[test]

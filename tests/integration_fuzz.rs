@@ -7,8 +7,8 @@
 //!
 //! 1. the `redbin_isa` emulator against the fast simulator's architectural
 //!    state,
-//! 2. the fast datapath against the faithful RB shadow datapath (both the
-//!    architectural state and the full statistics, modulo fidelity checks),
+//! 2. the retired stream on the redundant-binary shadow datapath
+//!    (`redbin::sim::fidelity::check`) against the emulator's values,
 //! 3. the event-driven scheduler against the retained `issue_reference`.
 //!
 //! On failure the panic message embeds the seed, the machine configuration,
