@@ -28,36 +28,22 @@ fn faithful_datapath_agrees_on_all_twenty_benchmarks() {
     }
 }
 
-/// On the 20 kernels and 5 whole programs, wide and narrow, a Faithful
-/// run reports exactly the fast run's statistics plus the pass's count.
 #[test]
-fn faithful_runs_are_fast_runs_plus_the_pass() {
-    use redbin::workload::WholeProgram;
-    let programs = Benchmark::all()
-        .into_iter()
-        .map(|b| b.program(Scale::Test))
-        .chain(WholeProgram::all().iter().map(|wp| wp.program(Scale::Test)));
-    for program in programs {
-        let name = &program.name;
-        let checks = fidelity::check(&program, u64::MAX).unwrap_or_else(|d| panic!("{name}: {d}"));
-        assert!(checks > 0, "{name}: the pass checked nothing");
-        let run = |config| {
-            Simulator::new(config, &program)
-                .run()
-                .unwrap_or_else(|e| panic!("{name}: {e}"))
-        };
-        for config in [MachineConfig::rb_full(8), MachineConfig::rb_limited(4)] {
-            let label = format!("{name} on {} {}-wide", config.model, config.width);
-            let fast = run(config.clone());
-            assert_eq!(fast.fidelity_checks, 0, "{label}: fast mode must not check");
-            let faithful = run(config.with_datapath(DatapathMode::Faithful));
-            let expect = SimStats {
-                fidelity_checks: checks,
-                ..fast
-            };
-            assert_eq!(faithful, expect, "{label}");
-        }
-    }
+fn faithful_mode_does_not_change_timing() {
+    // The pass is an observer: IPC must be identical, also under the
+    // tightest cycle limit the fast run meets, which bounds the pass's
+    // steps without cutting it short.
+    let program = Benchmark::Gap.program(Scale::Test);
+    let fast = Simulator::new(MachineConfig::rb_limited(4), &program)
+        .run()
+        .expect("runs");
+    let mut config = MachineConfig::rb_limited(4).with_datapath(DatapathMode::Faithful);
+    config.max_cycles = fast.cycles;
+    let faithful = Simulator::new(config, &program).run().expect("runs");
+    assert_eq!(fast.cycles, faithful.cycles);
+    assert_eq!(fast.retired, faithful.retired);
+    let checks = fidelity::check(&program, u64::MAX).expect("agrees");
+    assert_eq!(faithful.fidelity_checks, checks);
 }
 
 #[test]
