@@ -549,6 +549,17 @@ pub fn sim_stats(s: &SimStats) -> Json {
     ])
 }
 
+/// One value per machine model, keyed by the model's name.
+fn per_model<T>(values: &[T], f: impl Fn(&T) -> Json) -> Json {
+    Json::Obj(
+        CoreModel::all()
+            .iter()
+            .zip(values)
+            .map(|(m, v)| (m.name().to_string(), f(v)))
+            .collect(),
+    )
+}
+
 /// Serializes a Figures 9–12 style result (IPC of the four machine models
 /// per benchmark, plus the full statistics each IPC was derived from).
 pub fn ipc_figure(fig: &IpcFigure) -> Json {
@@ -562,28 +573,10 @@ pub fn ipc_figure(fig: &IpcFigure) -> Json {
         .map(|r| {
             let mut o = vec![
                 ("benchmark", benchmark_name(r.benchmark)),
-                (
-                    "ipc",
-                    Json::Obj(
-                        CoreModel::all()
-                            .iter()
-                            .zip(r.ipc.iter())
-                            .map(|(m, v)| (m.name().to_string(), Json::Num(*v)))
-                            .collect(),
-                    ),
-                ),
+                ("ipc", per_model(&r.ipc, |v| Json::Num(*v))),
             ];
             if !r.stats.is_empty() {
-                o.push((
-                    "stats",
-                    Json::Obj(
-                        CoreModel::all()
-                            .iter()
-                            .zip(r.stats.iter())
-                            .map(|(m, s)| (m.name().to_string(), sim_stats(s)))
-                            .collect(),
-                    ),
-                ));
+                o.push(("stats", per_model(&r.stats, sim_stats)));
             }
             obj(o)
         })
@@ -595,16 +588,7 @@ pub fn ipc_figure(fig: &IpcFigure) -> Json {
         ("suite", Json::Str(fig.suite.name().to_string())),
         ("models", Json::Arr(models)),
         ("rows", Json::Arr(rows)),
-        (
-            "harmonic-means",
-            Json::Obj(
-                CoreModel::all()
-                    .iter()
-                    .zip(hm.iter())
-                    .map(|(m, v)| (m.name().to_string(), Json::Num(*v)))
-                    .collect(),
-            ),
-        ),
+        ("harmonic-means", per_model(&hm, |v| Json::Num(*v))),
         (
             "headline-ratios",
             obj(vec![
@@ -631,26 +615,8 @@ pub fn programs(rep: &ProgramsReport) -> Json {
                 ("program", Json::Str(r.program.name().to_string())),
                 ("checksum", Json::Str(format!("{:016x}", r.checksum))),
                 ("emulated-instructions", Json::UInt(r.emulated)),
-                (
-                    "ipc",
-                    Json::Obj(
-                        CoreModel::all()
-                            .iter()
-                            .zip(r.ipc.iter())
-                            .map(|(m, v)| (m.name().to_string(), Json::Num(*v)))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "stats",
-                    Json::Obj(
-                        CoreModel::all()
-                            .iter()
-                            .zip(r.stats.iter())
-                            .map(|(m, s)| (m.name().to_string(), sim_stats(s)))
-                            .collect(),
-                    ),
-                ),
+                ("ipc", per_model(&r.ipc, |v| Json::Num(*v))),
+                ("stats", per_model(&r.stats, sim_stats)),
             ])
         })
         .collect();
@@ -659,16 +625,7 @@ pub fn programs(rep: &ProgramsReport) -> Json {
         ("width", Json::UInt(rep.width as u64)),
         ("models", Json::Arr(models)),
         ("rows", Json::Arr(rows)),
-        (
-            "harmonic-means",
-            Json::Obj(
-                CoreModel::all()
-                    .iter()
-                    .zip(hm.iter())
-                    .map(|(m, v)| (m.name().to_string(), Json::Num(*v)))
-                    .collect(),
-            ),
-        ),
+        ("harmonic-means", per_model(&hm, |v| Json::Num(*v))),
     ])
 }
 

@@ -103,15 +103,6 @@ impl Cache {
         self.misses
     }
 
-    /// Miss ratio so far (0 if never accessed).
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
     /// The line size in bytes.
     pub fn line_bytes(&self) -> usize {
         1 << self.line_shift
@@ -126,7 +117,6 @@ pub struct Banks {
     occupancy: u64,
     mask: usize,
     line_shift: u32,
-    conflicts: u64,
 }
 
 impl Banks {
@@ -143,7 +133,6 @@ impl Banks {
             occupancy,
             mask: count - 1,
             line_shift,
-            conflicts: 0,
         }
     }
 
@@ -152,16 +141,8 @@ impl Banks {
     pub fn schedule(&mut self, addr: u64, cycle: u64) -> u64 {
         let bank = ((addr >> self.line_shift) as usize) & self.mask;
         let start = cycle.max(self.free_at[bank]);
-        if start > cycle {
-            self.conflicts += 1;
-        }
         self.free_at[bank] = start + self.occupancy;
         start
-    }
-
-    /// Accesses delayed by bank conflicts so far.
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts
     }
 }
 
@@ -280,11 +261,6 @@ impl MemoryHierarchy {
     pub fn l2_counts(&self) -> (u64, u64) {
         (self.l2_hits, self.l2_misses_counted)
     }
-
-    /// Bank conflicts at (L2, memory).
-    pub fn bank_conflicts(&self) -> (u64, u64) {
-        (self.l2_banks.conflicts(), self.mem_banks.conflicts())
-    }
 }
 
 #[cfg(test)]
@@ -342,7 +318,6 @@ mod tests {
         assert_eq!(s1, 10);
         assert_eq!(s2, 14, "second access waits for occupancy");
         assert_eq!(s3, 10, "different bank, no wait");
-        assert_eq!(b.conflicts(), 1);
     }
 
     #[test]

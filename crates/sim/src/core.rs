@@ -462,9 +462,11 @@ impl Simulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Oracle`] if the program faults and
+    /// Returns [`SimError::Oracle`] if the program faults,
     /// [`SimError::CycleLimit`] if `cfg.max_cycles` (when nonzero) elapses
-    /// first.
+    /// first, and [`SimError::Fidelity`] with the first
+    /// [`Divergence`] when a Faithful machine's redundant-datapath check
+    /// disagrees with the emulator.
     pub fn run(self) -> Result<SimStats, SimError> {
         self.run_observed(&mut NoopObserver)
     }
@@ -1784,6 +1786,11 @@ mod tests {
 
     #[test]
     fn cycle_limit_is_enforced() {
+        let p = chain_program(102_400);
+        let mut cfg = MachineConfig::ideal(8);
+        cfg.max_cycles = 100;
+        let err = Simulator::new(cfg, &p).run().unwrap_err();
+        assert_eq!(err, SimError::CycleLimit(100));
         // An add and a branch back to it never halt. A Faithful machine's
         // redundant-datapath check stops where the timing run would.
         let spin = Program::new(vec![

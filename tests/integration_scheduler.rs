@@ -242,6 +242,10 @@ fn whole_programs_agree_under_bypass_ablations() {
             format!("{} rb_full rb-rf-only", wp.name()),
             MachineConfig::rb_full(8).with_rb_rf_only(),
         ));
+        cases.push((
+            format!("{} faithful rb_full", wp.name()),
+            MachineConfig::rb_full(8).with_datapath(DatapathMode::Faithful),
+        ));
         for (label, cfg) in cases {
             assert_schedulers_agree(&cfg, &program, &label);
         }
