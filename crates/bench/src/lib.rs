@@ -13,11 +13,9 @@
 //!   path is required, so no run can overwrite the committed `BENCH_6.json`
 //!   baseline by accident;
 //! * `--seeds N` / `--start-seed S` — `redbin-repro fuzz` only: run the
-//!   torture seeds `S..S+N` through the differential oracle;
-//! * `--verify-static` — `redbin-repro fuzz` only: run every torture
-//!   program through the static safety verifier (`redbin-analyze
-//!   programs`) before handing it to the oracle, failing loudly with the
-//!   seed and a disassembly listing if one is unprovable.
+//!   torture seeds `S..S+N` through the differential oracle (`redbin-analyze
+//!   programs --torture-seeds N --start-seed S` runs the same seeds
+//!   through the static safety verifier).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,9 +41,6 @@ pub struct BenchArgs {
     pub seeds: Option<u64>,
     /// `redbin-repro fuzz`: the first torture seed of the range.
     pub start_seed: Option<u64>,
-    /// `redbin-repro fuzz`: verify each torture program statically
-    /// before the differential oracle sees it.
-    pub verify_static: bool,
 }
 
 impl BenchArgs {
@@ -86,16 +81,10 @@ pub fn parse_cli(args: &[String]) -> Result<BenchArgs, String> {
             "--profile" => out.profile = Some(std::path::PathBuf::from(value(&mut it)?)),
             "--seeds" => out.seeds = Some(parse_u64(flag, &value(&mut it)?)?),
             "--start-seed" => out.start_seed = Some(parse_u64(flag, &value(&mut it)?)?),
-            "--verify-static" => {
-                if inline.is_some() {
-                    return Err("--verify-static takes no value".to_string());
-                }
-                out.verify_static = true;
-            }
             other => {
                 return Err(format!(
                     "unknown argument `{other}` (expected --scale, --json, --server, \
-                     --profile, --seeds, --start-seed or --verify-static)"
+                     --profile, --seeds or --start-seed)"
                 ))
             }
         }
@@ -261,15 +250,6 @@ mod tests {
         assert!(parse_cli(&argv(&["--seeds", "many"])).is_err());
         assert!(parse_cli(&argv(&["--start-seed", "-1"])).is_err());
         assert!(parse_cli(&argv(&["--seeds"])).is_err(), "missing value");
-    }
-
-    #[test]
-    fn verify_static_flag_parses_and_takes_no_value() {
-        let a = parse_cli(&argv(&["--verify-static", "--seeds", "10"])).unwrap();
-        assert!(a.verify_static);
-        assert_eq!(a.seeds, Some(10));
-        assert!(!parse_cli(&[]).unwrap().verify_static);
-        assert!(parse_cli(&argv(&["--verify-static=yes"])).is_err());
     }
 
     #[test]

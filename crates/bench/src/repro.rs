@@ -4,7 +4,7 @@
 //! redbin-repro figure9|figure10|figure11|figure12|figure13|figure14
 //!              [--scale S] [--json PATH]
 //! redbin-repro table1|table3|delays|ablations|programs [--scale S] [--json PATH]
-//! redbin-repro fuzz [--seeds N] [--start-seed S] [--verify-static] [--json PATH]
+//! redbin-repro fuzz [--seeds N] [--start-seed S] [--json PATH]
 //! redbin-repro all [--scale S] [--json PATH] [--server HOST:PORT] [--profile PATH]
 //! ```
 //!
@@ -295,18 +295,10 @@ fn run_fuzz(args: &BenchArgs) {
     let mut retired = 0u64;
     let mut cycles = 0u64;
     println!(
-        "fuzz: seeds {start}..{} through the differential oracle{}",
-        start + n,
-        if args.verify_static {
-            " (with static verification)"
-        } else {
-            ""
-        }
+        "fuzz: seeds {start}..{} through the differential oracle",
+        start + n
     );
     for seed in start..start + n {
-        if args.verify_static {
-            verify_torture_seed(seed);
-        }
         match differential::check_seed(seed) {
             Ok(v) => {
                 retired += v.retired;
@@ -329,47 +321,10 @@ fn run_fuzz(args: &BenchArgs) {
     let mut body = Json::object();
     body.set("start-seed", Json::UInt(start));
     body.set("seeds", Json::UInt(n));
-    body.set("verified-static", Json::Bool(args.verify_static));
     body.set("retired-instructions", Json::UInt(retired));
     body.set("simulated-cycles", Json::UInt(cycles));
     body.set("passed", Json::Bool(true));
     crate::emit_json(args, "fuzz", started, Some(retired), body);
-}
-
-/// `--verify-static`: the torture program must pass the same safety
-/// verifier shipped programs do (memory proved in-bounds, termination
-/// proved) before the differential oracle spends cycles on it. An
-/// unprovable generator output is a generator bug — fail loudly with
-/// everything needed to reproduce it.
-fn verify_torture_seed(seed: u64) {
-    use redbin::workload::fuzz;
-    use redbin_analyze::program::{analyze_program, AnalyzeOptions};
-    let program = fuzz::torture_program(seed);
-    let opts = AnalyzeOptions {
-        lints: false,
-        ..Default::default()
-    };
-    let analysis = analyze_program(&program, None, &opts);
-    if analysis.safe() {
-        return;
-    }
-    eprintln!(
-        "fuzz: seed {seed:#x}: torture program failed static verification \
-         (memory {}, termination {})",
-        analysis.memory.label(),
-        analysis.termination.label()
-    );
-    for note in &analysis.notes {
-        eprintln!("fuzz:   note: {note}");
-    }
-    eprintln!("fuzz: listing:");
-    for line in fuzz::disassemble(&program).lines() {
-        eprintln!("fuzz:   {line}");
-    }
-    eprintln!(
-        "fuzz: reproduce with: redbin-repro fuzz --start-seed {seed:#x} --seeds 1 --verify-static"
-    );
-    std::process::exit(1);
 }
 
 /// One throughput-profile line: what an experiment cost and delivered.

@@ -133,7 +133,8 @@ struct Decoded {
     len: u8,
     /// Bit `i`: source `i` must be 2's complement.
     tc: u8,
-    /// A store's data register, resolved through the store queue.
+    /// A store's data register (`None` for r31), read by the store queue
+    /// rather than the scheduler.
     data: Option<Reg>,
     dest: Option<Reg>,
     /// Bytes a memory operation accesses (0 for the rest).
@@ -163,8 +164,8 @@ impl Decoded {
             rb: cfg.result_is_rb(op),
         };
         let regs = if op.is_store() {
-            // The base register gates issue; the data operand is tracked
-            // separately and resolved via the store queue.
+            // The base register gates issue; the data operand goes to the
+            // store queue.
             dec.data = (!inst.rc.is_zero_reg()).then_some(inst.rc);
             let mut base = redbin_isa::SourceRegs::new();
             if !inst.ra.is_zero_reg() {
@@ -210,12 +211,10 @@ struct InFlight {
     /// availability; 0 means "evaluate every cycle").
     min_ready: u64,
     /// Consumers sleeping on this entry's result as (consumer seq, source
-    /// index) pairs, woken when this entry issues and its timing lands.
-    /// Drained at issue and kept, empty, for the ROB slot's next occupant.
+    /// index) pairs, woken when this entry issues and its timing lands; a
+    /// store sleeping on its data sleeps under [`STORE_DATA`]. Drained at
+    /// issue and kept, empty, for the ROB slot's next occupant.
     waiters: Vec<(u64, u8)>,
-    /// For stores: the data operand's producer, resolved separately.
-    store_data_producer: Option<u64>,
-    store_data_time: Option<u64>,
     dispatch_cycle: u64,
     fetch_cycle: u64,
     issue_cycle: u64,
@@ -223,7 +222,8 @@ struct InFlight {
     exec_end: u64,
     /// Result availability, set at issue for register-writing ops.
     timing: Option<ResultTiming>,
-    /// Cycle at which the instruction may retire.
+    /// Cycle at which the instruction may retire; for a store, set once
+    /// the store queue has both its address and its data.
     complete_at: u64,
     mispredicted: bool,
     /// For issued loads: whether the access missed in the L1 data cache
@@ -250,8 +250,6 @@ impl InFlight {
             wait_count: 0,
             min_ready: 0,
             waiters: Vec::new(),
-            store_data_producer: None,
-            store_data_time: None,
             dispatch_cycle: 0,
             fetch_cycle: 0,
             issue_cycle: 0,
@@ -264,6 +262,11 @@ impl InFlight {
         }
     }
 }
+
+/// The waiter index under which a store sleeps on its data producer. It
+/// is no source index (an entry has at most three): waking it hands the
+/// store queue the data's time instead of waking an operand.
+const STORE_DATA: u8 = u8::MAX;
 
 /// The ROB slot of dynamic instruction `seq`.
 fn rob_slot(seq: u64) -> usize {
@@ -352,9 +355,10 @@ pub struct Simulator {
     /// `(min_ready, seq)`: each moves into `candidates` at the first
     /// select whose execution cycle reaches its floor.
     floors: Vec<BinaryHeap<Reverse<(u64, u64)>>>,
-    /// Dispatched stores whose data operand is not yet resolved — the
-    /// persistent replacement for the per-cycle full-ring scan.
-    pending_stores: VecDeque<u64>,
+    /// Store data times woken this cycle, as (store seq, cycle), handed to
+    /// the store queue at the next issue stage: a load selected later in
+    /// the producer's own issue cycle must not forward from them yet.
+    store_data: Vec<(u64, u64)>,
     last_writer: [Option<u64>; 32],
     steer_counter: u64,
     /// Set by `dispatch` each cycle: a decoded instruction was ready to
@@ -425,7 +429,7 @@ impl Simulator {
             waiting,
             candidates,
             floors,
-            pending_stores: VecDeque::new(),
+            store_data: Vec::new(),
             last_writer: [None; 32],
             steer_counter: 0,
             window_blocked: false,
@@ -604,13 +608,7 @@ impl Simulator {
         // waiting to issue needs an issue first.
         if let Some(head) = self.entry(self.base_seq) {
             if head.state == State::Issued {
-                h = h.min(if head.d.inst.op.is_store() {
-                    self.sq
-                        .completion(head.d.seq)
-                        .map_or(u64::MAX, |t| t.saturating_add(1))
-                } else {
-                    head.complete_at
-                });
+                h = h.min(head.complete_at);
             }
         }
         // Dispatch: the fetch-queue front clears the front-end latency. A
@@ -822,14 +820,12 @@ impl Simulator {
                 }
                 srcs.push(Src { producer, avail });
             }
-            let data_reg = dec.data;
-            let store_data_producer = data_reg.and_then(|r| self.last_writer[r.index()]);
-
             if let Some(dest) = dec.dest {
                 self.last_writer[dest.index()] = Some(d.seq);
             }
             if op.is_store() {
                 self.sq.dispatch(d.seq);
+                self.dispatch_store_data(d.seq, dec.data, cluster);
             }
             debug_assert_eq!(self.base_seq + self.in_flight as u64, d.seq);
             let cycle = self.cycle;
@@ -848,12 +844,6 @@ impl Simulator {
                 wait_count,
                 min_ready,
                 waiters,
-                store_data_producer,
-                store_data_time: if op.is_store() && data_reg.is_none() {
-                    Some(cycle) // data is r31 (zero): always ready
-                } else {
-                    None
-                },
                 dispatch_cycle: cycle,
                 fetch_cycle: f.ready - FRONT_LATENCY,
                 issue_cycle: 0,
@@ -869,14 +859,32 @@ impl Simulator {
             if wait_count == 0 && !self.reference_sched {
                 self.insert_candidate(scheduler, d.seq, min_ready);
             }
-            if op.is_store() && data_reg.is_some() {
-                self.pending_stores.push_back(d.seq);
-            }
             dispatched += 1;
         }
         self.stats.dispatch_hist[dispatched.min(8)] += 1;
         obs.on_stage(Stage::Rename, dispatched);
         dispatched
+    }
+
+    /// Gives the store queue a dispatching store's data time: the register
+    /// file's (the dispatch cycle) with no producer in flight, r31
+    /// included, or the first cycle an issued producer's result exists in
+    /// 2's complement at the store's cluster. A producer yet to issue
+    /// takes the store as a waiter instead, and `wake` finds the time.
+    fn dispatch_store_data(&mut self, seq: u64, data: Option<Reg>, cluster: usize) {
+        let bypass = self.bypass;
+        let producer = data.and_then(|r| self.last_writer[r.index()]);
+        let at = match producer.and_then(|p| self.entry_mut(p)) {
+            None => self.cycle,
+            Some(prod) => match prod.timing {
+                Some(r) => bypass.earliest(&r, true, cluster, 0),
+                None => {
+                    prod.waiters.push((seq, STORE_DATA));
+                    return;
+                }
+            },
+        };
+        self.sq.set_data_time(seq, at);
     }
 
     /// Dependence-aware steering: on a clustered machine, place each
@@ -962,60 +970,34 @@ impl Simulator {
         src.producer.filter(|&p| p >= self.base_seq)
     }
 
-    fn resolve_store_data(&mut self, seq: u64) {
-        let Some(e) = self.entry(seq) else { return };
-        if e.store_data_time.is_some() {
-            return;
-        }
-        let resolved = match e.store_data_producer {
-            None => Some(e.dispatch_cycle),
-            Some(p) => match self.entry(p) {
-                None => Some(self.cycle), // producer retired; data in RF now
-                Some(prod) => prod.timing.as_ref().map(|r| {
-                    // Earliest cycle the store queue can latch the TC form.
-                    self.bypass.earliest(r, true, e.cluster, 0)
-                }),
-            },
-        };
-        if let Some(t) = resolved {
-            if let Some(em) = self.entry_mut(seq) {
-                em.store_data_time = Some(t);
-            }
-            self.sq.set_data_time(seq, t);
-        }
-    }
-
-    /// Retries the stores whose data operand is still outstanding. The
-    /// queue is maintained at dispatch and drained as stores resolve or
-    /// retire, replacing the previous per-cycle full-ring scan (which
-    /// allocated a fresh seq vector even with no stores in flight).
-    fn resolve_pending_stores(&mut self) {
-        for _ in 0..self.pending_stores.len() {
-            let Some(seq) = self.pending_stores.pop_front() else {
-                break;
-            };
-            self.resolve_store_data(seq);
-            let unresolved = matches!(
-                self.entry(seq),
-                Some(en) if en.store_data_time.is_none()
-            );
-            if unresolved {
-                // Rotate to the back: one pass visits each pending store
-                // exactly once and preserves seq order.
-                self.pending_stores.push_back(seq);
-            }
-        }
-    }
-
     /// Wakeup/select for one cycle; returns the number of instructions
     /// issued.
     fn issue<O: SimObserver>(&mut self, obs: &mut O) -> usize {
-        // Resolve pending store data lazily each cycle.
-        self.resolve_pending_stores();
+        self.publish_store_data();
         if self.reference_sched {
             return self.issue_reference(obs);
         }
         self.issue_event(obs)
+    }
+
+    /// Hands the store queue the data times `wake` found since the last
+    /// issue stage. A store whose address is known too now completes.
+    fn publish_store_data(&mut self) {
+        while let Some((seq, at)) = self.store_data.pop() {
+            self.sq.set_data_time(seq, at);
+            let complete_at = self.store_complete_at(seq);
+            if let Some(store) = self.entry_mut(seq) {
+                store.complete_at = complete_at;
+            }
+        }
+    }
+
+    /// The cycle a store may retire: the one after the store queue has
+    /// both its address and its data (`u64::MAX` until then).
+    fn store_complete_at(&self, seq: u64) -> u64 {
+        self.sq
+            .completion(seq)
+            .map_or(u64::MAX, |t| t.saturating_add(1))
     }
 
     /// Event-driven wakeup/select. Instead of evaluating every waiting
@@ -1215,14 +1197,22 @@ impl Simulator {
     /// producer's availability (`timing`, and whether it is a load that
     /// missed), folds its first cycle into the consumer's wakeup floor
     /// and, when this was the last outstanding producer, makes the
-    /// consumer a candidate of its scheduler.
+    /// consumer a candidate of its scheduler. A store's data
+    /// ([`STORE_DATA`]) instead gets the first cycle the result exists in
+    /// 2's complement at the store's cluster, published at the next issue
+    /// stage; the store may already have issued its address.
     fn wake(&mut self, cseq: u64, src_idx: u8, timing: Option<ResultTiming>, load_missed: bool) {
         let (bypass, reference) = (self.bypass, self.reference_sched);
         let Some(c) = self.entry_mut(cseq) else {
             return;
         };
-        debug_assert_eq!(c.state, State::Waiting, "sleeping consumers cannot issue");
         let cluster = c.cluster;
+        if src_idx == STORE_DATA {
+            let at = timing.map_or(self.cycle, |r| bypass.earliest(&r, true, cluster, 0));
+            self.store_data.push((cseq, at));
+            return;
+        }
+        debug_assert_eq!(c.state, State::Waiting, "sleeping consumers cannot issue");
         let Some(src) = c.srcs.as_mut_slice().get_mut(src_idx as usize) else {
             return;
         };
@@ -1435,8 +1425,7 @@ impl Simulator {
             debug_assert!(ea.is_some(), "store has an address");
             let addr = ea.unwrap_or_default();
             self.sq.set_address(seq, addr, dec.mem_size, e + 1);
-            // Completion is checked at retire (needs data too).
-            complete_at = u64::MAX;
+            complete_at = self.store_complete_at(seq);
         } else {
             let rb = dec.rb;
             let tc_ready = exec_end + if rb { self.cfg.conversion_latency } else { 0 };
@@ -1564,26 +1553,14 @@ impl Simulator {
             let Some(head) = self.entry(self.base_seq) else {
                 break;
             };
-            if head.state != State::Issued {
+            if head.state != State::Issued || head.complete_at > self.cycle {
                 break;
             }
-            let seq = head.d.seq;
-            let op = head.d.inst.op;
-            let ea = head.d.ea;
-            let complete_at = head.complete_at;
+            let (seq, op, ea) = (head.d.seq, head.d.inst.op, head.d.ea);
             if op.is_store() {
-                self.resolve_store_data(seq);
-                let Some(t) = self.sq.completion(seq) else {
-                    break;
-                };
-                if t + 1 > self.cycle {
-                    break;
-                }
                 debug_assert!(ea.is_some(), "store has an address");
                 self.mem.commit_store(ea.unwrap_or_default(), self.cycle);
                 self.sq.retire(seq);
-            } else if complete_at > self.cycle {
-                break;
             }
             let Some(head) = self.ring.get(rob_slot(seq)) else {
                 break;
@@ -1880,6 +1857,33 @@ mod tests {
                     .expect("reference completes");
                 assert_eq!(stats, reference);
             }
+        }
+    }
+
+    #[test]
+    fn store_data_reaches_the_queue_after_its_producer_issues() {
+        // The add's result is the store's data, and the last load forwards
+        // from the store. The store queue learns the data's time at the
+        // issue stage after the add's, so the load cannot forward in the
+        // add's own cycle, even from a scheduler scanned after the add's
+        // (hence 8 wide).
+        let p = Program::new(vec![
+            Inst::lda(Opcode::Lda, Reg::R31, 0x1000, Reg(1)),
+            Inst::mem(Opcode::Ldq, Reg(2), Reg::R31, 0x2000),
+            Inst::op(Opcode::Addq, Reg(2), Operand::Imm(1), Reg(3)),
+            Inst::mem(Opcode::Stq, Reg(3), Reg(1), 0),
+            Inst::mem(Opcode::Ldq, Reg(4), Reg(1), 0),
+            Inst::halt(),
+        ]);
+        for sim in [
+            Simulator::new(MachineConfig::rb_full(8), &p),
+            Simulator::new(MachineConfig::rb_full(8), &p).with_reference_scheduler(),
+        ] {
+            let (stats, trace) = sim.run_traced().expect("sim completes");
+            assert_eq!(stats.store_forwards, 1);
+            let issue = |pc: usize| trace.entries().iter().find(|e| e.pc == pc).map(|e| e.issue);
+            let (add, load) = (issue(2), issue(4));
+            assert!(load > add, "add {add:?}, load {load:?}");
         }
     }
 
