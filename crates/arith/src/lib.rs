@@ -19,8 +19,6 @@
 //! * [`ops`] — the other operations the paper shows can execute on
 //!   redundant inputs: digit shifts, scaled adds, sign/zero/LSB tests,
 //!   trailing-zero count, and quadword→longword extraction (§3.6).
-//! * [`radix4`] — the radix-4 signed-digit alternative §3.4 cites
-//!   (Nagendra et al.), for comparing redundancy trade-offs.
 //! * [`sam`] — Sum-Addressed Memory decoders, including the 3-input
 //!   *modified SAM* that indexes a cache directly with a redundant binary
 //!   base register plus a 2's-complement displacement (§3.6).
@@ -48,7 +46,6 @@ pub mod convert;
 pub mod digit;
 pub mod number;
 pub mod ops;
-pub mod radix4;
 pub mod sam;
 
 pub use adder::{AddOutcome, RbAdder};

@@ -4,20 +4,21 @@
 //! Any program the workspace can express is validated three independent
 //! ways:
 //!
-//! 1. **Emulator vs. fast simulator** — the standalone [`Emulator`] and
-//!    the timing simulator's embedded oracle must finish in the same
-//!    [`ArchState`](redbin_isa::ArchState) (registers, pc, retirement
-//!    count, memory digest).
-//! 2. **Redundant datapath** — [`redbin_sim::fidelity::check`]
-//!    recomputes every redundant-capable operation, branch test and
-//!    modified-SAM row of the retired stream on the redundant-binary
-//!    shadow datapath, which must agree with the emulator everywhere.
+//! 1. **Redundant datapath** — [`redbin_sim::fidelity::check`] runs the
+//!    standalone emulator and recomputes every redundant-capable
+//!    operation, branch test and modified-SAM row of its retired stream on
+//!    the redundant-binary shadow datapath, which must agree with the
+//!    emulator everywhere.
+//! 2. **Emulator vs. fast simulator** — the emulator's final
+//!    [`ArchState`] (registers, pc, retirement count, memory digest) from
+//!    that pass and the timing simulator's embedded oracle must agree.
 //! 3. **Event-driven vs. reference scheduler** — the optimized wakeup
 //!    scheduler must match the retained `issue_reference` implementation
 //!    statistic for statistic.
 //!
 //! [`check_program`] runs all three legs for one program/machine pair:
-//! one emulation, one redundant-datapath pass and two timing simulations.
+//! one emulation with the redundant-datapath pass beside it, and two
+//! timing simulations.
 //! [`check_seed`] feeds a [`redbin_workload::fuzz`] torture program plus
 //! a seed-derived machine configuration through the same oracle and, on
 //! failure, packages everything needed to reproduce: the seed, the
@@ -32,7 +33,7 @@
 //! assert!(verdict.retired > 0);
 //! ```
 
-use redbin_isa::{Emulator, Program};
+use redbin_isa::{ArchState, Program, StepError};
 use redbin_sim::{
     BypassLevels, CoreModel, DatapathMode, MachineConfig, SimStats, Simulator, SteeringPolicy,
 };
@@ -63,9 +64,9 @@ pub struct OracleVerdict {
 pub struct OracleFailure {
     /// The program's name.
     pub program: String,
-    /// Which comparison failed: `"emulator"`, `"fast-simulator"`,
-    /// `"emulator-vs-fast"`, `"redundant-datapath"`, `"reference-scheduler"`
-    /// or `"event-driven-vs-reference"`.
+    /// Which comparison failed: `"redundant-datapath"`, `"emulator"`,
+    /// `"fast-simulator"`, `"emulator-vs-fast"`, `"reference-scheduler"` or
+    /// `"event-driven-vs-reference"`.
     pub leg: &'static str,
     /// Human-readable detail: the first diverging field, or the error.
     pub detail: String,
@@ -120,6 +121,17 @@ fn fail(program: &Program, leg: &'static str, detail: impl Into<String>) -> Orac
     }
 }
 
+/// How an emulation that did not halt stopped: control left the code, or
+/// the step budget ran out.
+fn stop(program: &Program, state: &ArchState) -> String {
+    if state.pc < program.code.len() {
+        format!("no halt within {EMULATOR_STEP_BOUND} instructions")
+    } else {
+        let fault = StepError::PcOutOfRange(state.pc);
+        format!("{fault} after {} instructions", state.retired)
+    }
+}
+
 /// Runs the three-way differential oracle for one program on one machine.
 ///
 /// `base`'s datapath mode is ignored: the oracle runs the redundant
@@ -127,16 +139,21 @@ fn fail(program: &Program, leg: &'static str, detail: impl Into<String>) -> Orac
 ///
 /// # Errors
 ///
-/// Returns the first [`OracleFailure`] encountered, in leg order.
+/// Returns the first [`OracleFailure`] encountered, in leg order. The
+/// emulation stops at the first divergence, so a program whose datapaths
+/// agree but that faults or does not halt fails under `"emulator"` before
+/// any simulation runs.
 pub fn check_program(
     program: &Program,
     base: &MachineConfig,
 ) -> Result<OracleVerdict, OracleFailure> {
-    // The standalone emulator defines the architectural truth.
-    let mut emu = Emulator::new(program);
-    emu.run(EMULATOR_STEP_BOUND)
-        .map_err(|e| fail(program, "emulator", e.to_string()))?;
-    let expect = emu.arch_state();
+    // The standalone emulator defines the architectural truth, and the
+    // redundant datapath must compute what it does.
+    let (fidelity_checks, expect) = redbin_sim::fidelity::check(program, EMULATOR_STEP_BOUND)
+        .map_err(|d| fail(program, "redundant-datapath", d.to_string()))?;
+    if !expect.halted {
+        return Err(fail(program, "emulator", stop(program, &expect)));
+    }
 
     // The fast simulator must land in the same architectural state.
     let fast_cfg = base.clone().with_datapath(DatapathMode::Fast);
@@ -146,10 +163,6 @@ pub fn check_program(
     if let Some(d) = expect.diff(&fast_arch) {
         return Err(fail(program, "emulator-vs-fast", d));
     }
-
-    // The redundant datapath must compute what the emulator does.
-    let fidelity_checks = redbin_sim::fidelity::check(program, EMULATOR_STEP_BOUND)
-        .map_err(|d| fail(program, "redundant-datapath", d.to_string()))?;
 
     // The event-driven scheduler against the retained reference.
     let reference = Simulator::new(fast_cfg, program)
@@ -252,6 +265,22 @@ mod tests {
         let verdict = check_program(&program, &MachineConfig::rb_full(8)).expect("clean");
         assert!(verdict.retired > 0);
         assert!(verdict.fidelity_checks > 0, "the datapath leg must check");
+    }
+
+    #[test]
+    fn a_program_that_leaves_the_code_fails_the_emulator_leg() {
+        use redbin_isa::{Inst, Opcode, Operand, Reg};
+        // The branch targets pc 6, past the end of the two-instruction code.
+        let program = Program::new(vec![
+            Inst::op(Opcode::Addq, Reg::R31, Operand::Imm(1), Reg(1)),
+            Inst::br(4),
+        ]);
+        let failure = check_program(&program, &MachineConfig::rb_full(4)).expect_err("faults");
+        assert_eq!(failure.leg, "emulator");
+        assert_eq!(
+            failure.detail,
+            "pc 6 is outside the code region after 2 instructions"
+        );
     }
 
     #[test]

@@ -32,12 +32,8 @@ pub enum NodeKind {
     Or,
     /// A 2-input XOR gate.
     Xor,
-    /// A 2-input NAND gate.
-    Nand,
     /// A 2-input NOR gate.
     Nor,
-    /// A 2-input XNOR gate.
-    Xnor,
     /// A 2:1 multiplexer.
     Mux,
 }
@@ -52,21 +48,19 @@ impl NodeKind {
             NodeKind::And => "and",
             NodeKind::Or => "or",
             NodeKind::Xor => "xor",
-            NodeKind::Nand => "nand",
             NodeKind::Nor => "nor",
-            NodeKind::Xnor => "xnor",
             NodeKind::Mux => "mux",
         }
     }
 
     /// The intrinsic (unloaded) delay of this node kind: simple gates and
-    /// inverters cost 1, compound XOR/XNOR/MUX cost 2, inputs and
-    /// constants cost 0. This is the base delay both [`DelayModel`]s scale.
+    /// inverters cost 1, compound XOR/MUX cost 2, inputs and constants
+    /// cost 0. This is the base delay both [`DelayModel`]s scale.
     pub fn base_delay(&self) -> f64 {
         match self {
             NodeKind::Input | NodeKind::Const(_) => 0.0,
-            NodeKind::Not | NodeKind::And | NodeKind::Or | NodeKind::Nand | NodeKind::Nor => 1.0,
-            NodeKind::Xor | NodeKind::Xnor | NodeKind::Mux => 2.0,
+            NodeKind::Not | NodeKind::And | NodeKind::Or | NodeKind::Nor => 1.0,
+            NodeKind::Xor | NodeKind::Mux => 2.0,
         }
     }
 }
@@ -84,9 +78,7 @@ enum Node {
     And(NodeId, NodeId),
     Or(NodeId, NodeId),
     Xor(NodeId, NodeId),
-    Nand(NodeId, NodeId),
     Nor(NodeId, NodeId),
-    Xnor(NodeId, NodeId),
     /// A 2:1 multiplexer: `sel ? a : b`.
     Mux {
         sel: NodeId,
@@ -98,7 +90,7 @@ enum Node {
 /// The delay model used for critical-path analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DelayModel {
-    /// Every simple gate costs 1 unit; XOR/XNOR and MUX cost 2 (they are
+    /// Every simple gate costs 1 unit; XOR and MUX cost 2 (they are
     /// compound gates in CMOS); inverters and constants cost 0 wire-wise
     /// but inverters still cost 1 (a real stage).
     UnitGate,
@@ -203,25 +195,11 @@ impl Netlist {
         self.push(Node::Xor(a, b))
     }
 
-    /// Adds a 2-input NAND gate.
-    pub fn nand(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.check(a);
-        self.check(b);
-        self.push(Node::Nand(a, b))
-    }
-
     /// Adds a 2-input NOR gate.
     pub fn nor(&mut self, a: NodeId, b: NodeId) -> NodeId {
         self.check(a);
         self.check(b);
         self.push(Node::Nor(a, b))
-    }
-
-    /// Adds a 2-input XNOR gate.
-    pub fn xnor(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.check(a);
-        self.check(b);
-        self.push(Node::Xnor(a, b))
     }
 
     /// Adds a 2:1 mux computing `sel ? a : b`.
@@ -310,9 +288,7 @@ impl Netlist {
             Node::And(..) => NodeKind::And,
             Node::Or(..) => NodeKind::Or,
             Node::Xor(..) => NodeKind::Xor,
-            Node::Nand(..) => NodeKind::Nand,
             Node::Nor(..) => NodeKind::Nor,
-            Node::Xnor(..) => NodeKind::Xnor,
             Node::Mux { .. } => NodeKind::Mux,
         }
     }
@@ -328,12 +304,7 @@ impl Netlist {
         match self.nodes[id.0 as usize] {
             Node::Input | Node::Const(_) => Vec::new(),
             Node::Not(a) => vec![a],
-            Node::And(a, b)
-            | Node::Or(a, b)
-            | Node::Xor(a, b)
-            | Node::Nand(a, b)
-            | Node::Nor(a, b)
-            | Node::Xnor(a, b) => vec![a, b],
+            Node::And(a, b) | Node::Or(a, b) | Node::Xor(a, b) | Node::Nor(a, b) => vec![a, b],
             Node::Mux { sel, a, b } => vec![sel, a, b],
         }
     }
@@ -377,9 +348,7 @@ impl Netlist {
                 Node::And(a, b) => vals[a.0 as usize] & vals[b.0 as usize],
                 Node::Or(a, b) => vals[a.0 as usize] | vals[b.0 as usize],
                 Node::Xor(a, b) => vals[a.0 as usize] ^ vals[b.0 as usize],
-                Node::Nand(a, b) => !(vals[a.0 as usize] & vals[b.0 as usize]),
                 Node::Nor(a, b) => !(vals[a.0 as usize] | vals[b.0 as usize]),
-                Node::Xnor(a, b) => !(vals[a.0 as usize] ^ vals[b.0 as usize]),
                 Node::Mux { sel, a, b } => {
                     if vals[sel.0 as usize] {
                         vals[a.0 as usize]
@@ -403,12 +372,7 @@ impl Netlist {
             match *node {
                 Node::Input | Node::Const(_) => {}
                 Node::Not(a) => bump(a, &mut f),
-                Node::And(a, b)
-                | Node::Or(a, b)
-                | Node::Xor(a, b)
-                | Node::Nand(a, b)
-                | Node::Nor(a, b)
-                | Node::Xnor(a, b) => {
+                Node::And(a, b) | Node::Or(a, b) | Node::Xor(a, b) | Node::Nor(a, b) => {
                     bump(a, &mut f);
                     bump(b, &mut f);
                 }
@@ -431,12 +395,9 @@ impl Netlist {
             let max_in = match *node {
                 Node::Input | Node::Const(_) => 0.0,
                 Node::Not(a) => t[a.0 as usize],
-                Node::And(a, b)
-                | Node::Or(a, b)
-                | Node::Xor(a, b)
-                | Node::Nand(a, b)
-                | Node::Nor(a, b)
-                | Node::Xnor(a, b) => t[a.0 as usize].max(t[b.0 as usize]),
+                Node::And(a, b) | Node::Or(a, b) | Node::Xor(a, b) | Node::Nor(a, b) => {
+                    t[a.0 as usize].max(t[b.0 as usize])
+                }
                 Node::Mux { sel, a, b } => {
                     t[sel.0 as usize].max(t[a.0 as usize]).max(t[b.0 as usize])
                 }

@@ -10,15 +10,6 @@
 
 use crate::opcode::Opcode;
 
-/// The format of a produced value on a redundant binary machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ValueFormat {
-    /// Redundant binary (two digit planes).
-    Rb,
-    /// 2's complement.
-    Tc,
-}
-
 /// What format an instruction requires of one of its source operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InputReq {
@@ -28,28 +19,6 @@ pub enum InputReq {
     /// The operand must be in 2's complement; a redundant producer must be
     /// format-converted first.
     TcOnly,
-}
-
-/// The output format an opcode produces on a redundant binary machine, or
-/// `None` if it writes no register.
-pub fn output_format(op: Opcode) -> Option<ValueFormat> {
-    use Opcode::*;
-    if !op.writes_dest() {
-        return None;
-    }
-    Some(match op {
-        // Row 1 of Table 1: adds, subtracts, multiplies, load-address,
-        // scaled adds, left shift — redundant outputs.
-        Addq | Subq | Addl | Subl | Lda | Ldah | S4addq | S8addq | S4subq | S8subq | Mulq
-        | Mull | Sll => ValueFormat::Rb,
-        // Rows 2–3: conditional moves pass through (possibly redundant)
-        // values.
-        Cmoveq | Cmovne | Cmovlt | Cmovge | Cmovle | Cmovgt | Cmovlbs | Cmovlbc => ValueFormat::Rb,
-        // Everything else that writes a register produces 2's complement:
-        // loads (memory is TC), compares (0/1), logical/byte/count ops,
-        // right shifts, FP, and link writes.
-        _ => ValueFormat::Tc,
-    })
 }
 
 /// The input requirement for source operand `idx`, where `idx` indexes the
@@ -214,30 +183,6 @@ mod tests {
         assert_eq!(table1_row(Opcode::Blbs), Table1Row::CondBranch);
         assert_eq!(table1_row(Opcode::Xor), Table1Row::Other);
         assert_eq!(table1_row(Opcode::Sra), Table1Row::Other);
-    }
-
-    #[test]
-    fn rb_rows_produce_rb() {
-        for &op in Opcode::all() {
-            let row = table1_row(op);
-            match row {
-                Table1Row::ArithRbRb | Table1Row::CmovSign | Table1Row::CmovEq => {
-                    assert_eq!(output_format(op), Some(ValueFormat::Rb), "{op}");
-                }
-                Table1Row::MemAccess => {
-                    if op.is_load() {
-                        assert_eq!(output_format(op), Some(ValueFormat::Tc), "{op}");
-                    } else {
-                        assert_eq!(output_format(op), None, "{op}");
-                    }
-                }
-                Table1Row::CmpEq | Table1Row::CmpIneq => {
-                    assert_eq!(output_format(op), Some(ValueFormat::Tc), "{op}");
-                }
-                Table1Row::CondBranch => assert_eq!(output_format(op), None, "{op}"),
-                Table1Row::Other => {}
-            }
-        }
     }
 
     #[test]

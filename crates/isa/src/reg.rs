@@ -24,10 +24,6 @@ impl Reg {
     /// The always-zero register, `r31`.
     pub const R31: Reg = Reg(31);
 
-    /// Conventional stack-pointer register (`r30`), used by the workload
-    /// assembler.
-    pub const SP: Reg = Reg(30);
-
     /// Conventional return-address register (`r26`), used by `BSR`/`RET`.
     pub const RA: Reg = Reg(26);
 

@@ -4,7 +4,9 @@
 //! redbin-submit --server HOST:PORT submit EXPERIMENT [--scale S] [--datapath D]
 //!               [--bypass LEVELS] [--rb-rf-only]
 //!               [--deadline-ms N] [--no-wait] [--json PATH]
-//! redbin-submit --server HOST:PORT custom FILE.s [--scale S] [--deadline-ms N] [--no-wait]
+//! redbin-submit --server HOST:PORT custom FILE.s [--scale S] [--datapath D]
+//!               [--bypass LEVELS] [--rb-rf-only]
+//!               [--deadline-ms N] [--no-wait] [--json PATH]
 //! redbin-submit --server HOST:PORT sleep MILLIS [--deadline-ms N] [--no-wait]
 //! redbin-submit --server HOST:PORT poll JOB
 //! redbin-submit --server HOST:PORT fetch JOB [--json PATH]
@@ -16,9 +18,10 @@
 //!
 //! `submit`/`custom`/`sleep` wait for completion and print the result
 //! body by default; `--no-wait` prints the accepted job id instead.
-//! `custom` submits the given assembly file; the server runs the
-//! `redbin-analyze` program verifier before queueing and rejects anything
-//! it cannot prove memory-safe and terminating. A batch
+//! `custom` submits the given assembly file, with the same machine flags as
+//! `submit`; the server runs the `redbin-analyze` program verifier before
+//! queueing and rejects anything it cannot prove memory-safe and
+//! terminating. A batch
 //! manifest is `{"jobs":[{"experiment":"figure9","scale":"test"},…]}`;
 //! results are collected into one document keyed by job id.
 //!
@@ -41,7 +44,9 @@ fn usage() -> ! {
          [--bypass Full|No-1|No-2|No-3|No-1,2|No-2,3] [--rb-rf-only] \
          [--deadline-ms N] [--no-wait] [--json PATH] \
          [--retries N] [--retry-after-cap SECONDS] \
-         | custom FILE.s [--scale test|small|full] [--deadline-ms N] [--no-wait] \
+         | custom FILE.s [--scale test|small|full] [--datapath fast|faithful] \
+         [--bypass Full|No-1|No-2|No-3|No-1,2|No-2,3] [--rb-rf-only] \
+         [--deadline-ms N] [--no-wait] [--json PATH] \
          | sleep MILLIS [--deadline-ms N] [--no-wait] \
          | poll JOB | fetch JOB [--json PATH] \
          | batch MANIFEST [--json PATH] | stats | metrics | shutdown)"
@@ -125,13 +130,18 @@ fn parse_opts(args: &[String]) -> Opts {
     o
 }
 
-fn spec_from(experiment: &str, opts: &Opts) -> JobSpec {
+/// The job spec of `experiment` with the machine flags of `opts`; a
+/// `custom` job also carries its assembly `source`.
+fn spec_from(experiment: &str, source: Option<String>, opts: &Opts) -> JobSpec {
     let mut spec_json = Json::object();
     spec_json.set("experiment", Json::Str(experiment.to_string()));
     spec_json.set(
         "scale",
         Json::Str(opts.scale.clone().unwrap_or_else(|| "test".into())),
     );
+    if let Some(source) = source {
+        spec_json.set("source", Json::Str(source));
+    }
     if let Some(d) = &opts.datapath {
         spec_json.set("datapath", Json::Str(d.clone()));
     }
@@ -273,22 +283,14 @@ fn main() -> ExitCode {
                 ));
             }
             let opts = parse_opts(&rest[2..]);
-            submit_and_report(&client, spec_from(experiment, &opts), &opts)
+            submit_and_report(&client, spec_from(experiment, None, &opts), &opts)
         }
         "custom" => {
             let Some(path) = rest.get(1) else { usage() };
             let source =
                 std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("{path}: {e}")));
             let opts = parse_opts(&rest[2..]);
-            let mut spec_json = Json::object();
-            spec_json.set("experiment", Json::Str("custom".into()));
-            spec_json.set(
-                "scale",
-                Json::Str(opts.scale.clone().unwrap_or_else(|| "test".into())),
-            );
-            spec_json.set("source", Json::Str(source));
-            let spec = JobSpec::from_json(&spec_json).unwrap_or_else(|e| fail(e));
-            submit_and_report(&client, spec, &opts)
+            submit_and_report(&client, spec_from("custom", Some(source), &opts), &opts)
         }
         "sleep" => {
             let millis: u64 = rest

@@ -368,6 +368,13 @@ fn unsafe_custom_program_is_rejected_before_queueing() {
     let (client, handle) = start_server(ServeConfig::default());
     let dir = std::env::temp_dir().join(format!("redbin-custom-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
+    let submit = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_redbin-submit"))
+            .args(["--server", client.addr()])
+            .args(args)
+            .output()
+            .expect("run redbin-submit")
+    };
 
     let bad_path = dir.join("oob.s");
     std::fs::write(
@@ -381,15 +388,7 @@ fn unsafe_custom_program_is_rejected_before_queueing() {
 ",
     )
     .expect("write bad program");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_redbin-submit"))
-        .args([
-            "--server",
-            client.addr(),
-            "custom",
-            bad_path.to_str().expect("utf-8 path"),
-        ])
-        .output()
-        .expect("run redbin-submit");
+    let out = submit(&["custom", bad_path.to_str().expect("utf-8 path")]);
     assert!(!out.status.success(), "unsafe submission must fail");
     let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
     assert!(stderr.contains("rejected unsafe program"), "{stderr}");
@@ -421,19 +420,30 @@ fn unsafe_custom_program_is_rejected_before_queueing() {
 ",
     )
     .expect("write good program");
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_redbin-submit"))
-        .args([
-            "--server",
-            client.addr(),
-            "custom",
-            good_path.to_str().expect("utf-8 path"),
-        ])
-        .output()
-        .expect("run redbin-submit");
+    let good = good_path.to_str().expect("utf-8 path");
+    let out = submit(&["custom", good]);
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
     assert!(out.status.success(), "safe submission runs: {stdout}");
     assert!(stdout.contains("\"models\""), "{stdout}");
     assert!(stdout.contains("\"Ideal\""), "{stdout}");
+
+    // The machine flags reach a Custom job: a bypass override names other
+    // machines, so the job gets an id of its own.
+    let job_id = |flags: &[&str]| {
+        let out = submit(&[&["custom", good, "--no-wait"], flags].concat());
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        assert!(out.status.success(), "accepted: {stdout}");
+        stdout
+            .split_whitespace()
+            .next()
+            .expect("job id")
+            .to_string()
+    };
+    assert_ne!(
+        job_id(&[]),
+        job_id(&["--bypass", "No-1"]),
+        "--bypass must reach the Custom job"
+    );
 
     std::fs::remove_dir_all(&dir).ok();
     shut_down(&client, handle);

@@ -47,8 +47,6 @@ pub struct BranchPredictor {
     chooser: Vec<u8>,
     btb: Vec<(u64, usize)>, // (tag, target); direct-mapped-within-set, 4 ways
     ras: Vec<usize>,
-    lookups: u64,
-    dir_mispredicts: u64,
 }
 
 impl Default for BranchPredictor {
@@ -68,8 +66,6 @@ impl BranchPredictor {
             chooser: vec![2; 1 << CHOOSER_BITS],
             btb: vec![(u64::MAX, 0); BTB_ENTRIES],
             ras: Vec::with_capacity(RAS_DEPTH),
-            lookups: 0,
-            dir_mispredicts: 0,
         }
     }
 
@@ -129,7 +125,6 @@ impl BranchPredictor {
         actual_target: usize,
         static_target: Option<usize>,
     ) -> Prediction {
-        self.lookups += 1;
         let pred = if op.is_conditional_branch() {
             let gi = self.gshare_index(pc);
             let pi = self.pht_index(pc);
@@ -157,9 +152,6 @@ impl BranchPredictor {
             self.local_hist[li] =
                 ((self.local_hist[li] << 1) | actual_taken as u16) & ((1 << LOCAL_HIST_BITS) - 1);
             self.ghist = ((self.ghist << 1) | actual_taken as u64) & ((1 << GSHARE_BITS) - 1);
-            if taken != actual_taken {
-                self.dir_mispredicts += 1;
-            }
             // A taken-predicted conditional needs a target: static
             // displacement targets are available at decode; treat them as
             // correctly provided (BTB assists earlier stages only).
@@ -195,14 +187,6 @@ impl BranchPredictor {
             self.btb_insert(pc, actual_target);
         }
         pred
-    }
-
-    /// Conditional-branch direction accuracy so far.
-    pub fn direction_accuracy(&self) -> f64 {
-        if self.lookups == 0 {
-            return 1.0;
-        }
-        1.0 - self.dir_mispredicts as f64 / self.lookups as f64
     }
 }
 
@@ -266,14 +250,5 @@ mod tests {
         let pred = p.predict_and_update(5, Opcode::Br, true, 42, Some(42));
         assert!(pred.taken);
         assert_eq!(pred.target, Some(42));
-    }
-
-    #[test]
-    fn accuracy_reporting() {
-        let mut p = BranchPredictor::new();
-        for _ in 0..200 {
-            p.predict_and_update(1, Opcode::Bne, true, 0, Some(0));
-        }
-        assert!(p.direction_accuracy() > 0.8);
     }
 }

@@ -513,7 +513,7 @@ impl Simulator {
                 0 => u64::MAX,
                 limit => limit.saturating_mul(FRONT_WIDTH as u64),
             };
-            self.stats.fidelity_checks =
+            (self.stats.fidelity_checks, _) =
                 fidelity::check(&program, steps).map_err(SimError::Fidelity)?;
         }
         loop {

@@ -19,8 +19,9 @@
 //! use redbin_workload::{Benchmark, Scale};
 //!
 //! let program = Benchmark::Gap.program(Scale::Test);
-//! let checks = fidelity::check(&program, u64::MAX).expect("the datapaths agree");
+//! let (checks, state) = fidelity::check(&program, u64::MAX).expect("the datapaths agree");
 //! assert!(checks > 1000);
+//! assert!(state.halted);
 //! ```
 
 // The pass runs inside Faithful server jobs: a disagreement is a value.
@@ -40,7 +41,7 @@ use redbin_arith::adder::RbAdder;
 use redbin_arith::ops::{self, Sign};
 use redbin_arith::sam::ModifiedSamDecoder;
 use redbin_arith::RbNumber;
-use redbin_isa::{Emulator, Inst, Opcode, Operand, Program};
+use redbin_isa::{ArchState, Emulator, Inst, Opcode, Operand, Program};
 
 use crate::config::DCACHE;
 
@@ -83,16 +84,17 @@ impl std::error::Error for Divergence {}
 
 /// Runs `program` for at most `max_steps` instructions on the emulator and
 /// the redundant shadow datapath side by side, and returns how many
-/// comparisons it made.
+/// comparisons it made and the emulator's final state.
 ///
 /// The pass stops early when the program halts or faults. A fault or an
-/// exhausted budget is not a divergence: callers that need the program to
-/// halt learn that from the emulator or the timing run.
+/// exhausted budget is not a divergence; the final state tells the three
+/// stops apart: `halted`, a `pc` outside the code (a fault), or neither
+/// (the budget ran out).
 ///
 /// # Errors
 ///
 /// Returns the first [`Divergence`].
-pub fn check(program: &Program, max_steps: u64) -> Result<u64, Divergence> {
+pub fn check(program: &Program, max_steps: u64) -> Result<(u64, ArchState), Divergence> {
     use Opcode::*;
     let sam = ModifiedSamDecoder::new(DCACHE_INDEX_BITS.0, DCACHE_INDEX_BITS.1);
     let mut emu = Emulator::new(program);
@@ -169,7 +171,7 @@ pub fn check(program: &Program, max_steps: u64) -> Result<u64, Divergence> {
             _ => {}
         }
     }
-    Ok(checks)
+    Ok((checks, emu.arch_state()))
 }
 
 /// `inst`'s result on the redundant datapath, from its operands `a` and
@@ -249,13 +251,16 @@ mod tests {
             Inst::branch(Opcode::Blt, Reg(3), 0),
             Inst::halt(),
         ]);
-        assert_eq!(check(&chain, u64::MAX), Ok(4));
+        let (checks, state) = check(&chain, u64::MAX).expect("agrees");
+        assert_eq!((checks, state.halted, state.retired), (4, true, 5));
         // Without the halt the pc leaves the code after the branch.
         let falls_off = Program::new(chain.code[..4].to_vec());
-        assert_eq!(check(&falls_off, u64::MAX), Ok(4));
+        let (checks, state) = check(&falls_off, u64::MAX).expect("agrees");
+        assert_eq!((checks, state.halted, state.pc), (4, false, 4));
         // Its first add and a branch back to it never halt.
         let spin = Program::new(vec![chain.code[0], Inst::br(-2)]);
-        assert_eq!(check(&spin, 1000), Ok(500));
+        let (checks, state) = check(&spin, 1000).expect("agrees");
+        assert_eq!((checks, state.halted, state.retired), (500, false, 1000));
     }
 
     #[test]

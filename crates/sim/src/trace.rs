@@ -112,34 +112,6 @@ impl PipelineTrace {
     }
 }
 
-/// Renders availability timelines: for each producer, which cycles a
-/// consumer of each format could source its value (`B` = bypass, `R` =
-/// register file, `.` = hole) — the textual form of the §4.2 discussion.
-pub fn render_availability(
-    model: &crate::bypass::BypassModel,
-    result: &crate::bypass::ResultTiming,
-    horizon: u64,
-) -> String {
-    let mut out = String::new();
-    for (label, need_tc) in [("redundant consumer", false), ("2's-comp consumer", true)] {
-        let _ = write!(out, "{label:>18}: ");
-        for e in result.ready + 1..=result.ready + horizon {
-            let ch = if model.available(result, need_tc, result.cluster, e) {
-                if model.from_bypass(result, need_tc, result.cluster, e) {
-                    'B'
-                } else {
-                    'R'
-                }
-            } else {
-                '.'
-            };
-            out.push(ch);
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,21 +261,5 @@ mod tests {
             p.exec_start + 2,
             "baseline consumer waits for the full 2-cycle add"
         );
-    }
-
-    #[test]
-    fn availability_rendering() {
-        use crate::bypass::{BypassModel, ResultTiming};
-        use crate::config::MachineConfig;
-        let m = BypassModel::new(&MachineConfig::rb_limited(4));
-        let r = ResultTiming {
-            ready: 10,
-            rb: true,
-            tc_ready: 12,
-            cluster: 0,
-        };
-        let s = render_availability(&m, &r, 6);
-        // Redundant consumer: BYP-1 then the §4.2 two-cycle hole, then RF.
-        assert!(s.contains("B..RRR"), "got:\n{s}");
     }
 }

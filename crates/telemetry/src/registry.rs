@@ -133,11 +133,6 @@ impl MetricsRegistry {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Increments counter `name` by one (registering it at zero first).
-    pub fn inc(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
     /// Adds `delta` to counter `name` (registering it at zero first).
     pub fn add(&mut self, name: &str, delta: u64) {
         if let Some((_, v)) = self.counters.iter_mut().find(|(n, _)| n == name) {
@@ -297,7 +292,7 @@ mod tests {
     fn counters_accumulate_and_default_to_zero() {
         let mut r = MetricsRegistry::new();
         assert_eq!(r.counter("jobs"), 0);
-        r.inc("jobs");
+        r.add("jobs", 1);
         r.add("jobs", 4);
         assert_eq!(r.counter("jobs"), 5);
         assert!(!r.is_empty());

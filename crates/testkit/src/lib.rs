@@ -2,14 +2,11 @@
 //!
 //! The build environment has no access to a crates.io registry, so the
 //! workspace carries no external dependencies at all. This crate replaces
-//! the two things third-party crates used to provide:
-//!
-//! * [`Rng`] + [`cases`] — a deterministic SplitMix64 generator and a tiny
-//!   property-test harness. The property suites (`crates/*/tests/`) draw
-//!   their inputs from it instead of `proptest`. Failures print the case
-//!   seed; re-running with [`cases_from`] reproduces a single case.
-//! * [`mod@bench`] — a wall-clock micro-benchmark timer with median/min
-//!   reporting, standing in for `criterion` in `crates/bench/benches/`.
+//! what `rand` and `proptest` used to provide: [`Rng`] + [`cases`], a
+//! deterministic SplitMix64 generator and a tiny property-test harness. The
+//! property suites (`crates/*/tests/`) draw their inputs from it. Failures
+//! print the case seed; re-running with [`cases_from`] reproduces a single
+//! case.
 //!
 //! Everything here is deterministic: the same seed always produces the
 //! same case stream, on every platform.
@@ -148,94 +145,6 @@ fn run_case(case_seed: u64, f: &impl Fn(&mut Rng)) {
     let mut rng = Rng::new(case_seed);
     f(&mut rng);
     guard.1 = false;
-}
-
-pub mod bench {
-    //! A minimal wall-clock micro-benchmark harness (criterion stand-in).
-    //!
-    //! Benchmarks under `crates/bench/benches/` are ordinary
-    //! `harness = false` binaries that call [`Bench::run`] per measurement
-    //! and print one line each: median and minimum time per iteration.
-
-    use std::hint::black_box;
-    use std::time::Duration;
-
-    use redbin_telemetry::{Clock, Stopwatch};
-
-    pub use std::hint::black_box as bb;
-
-    /// Harness settings: how long to warm up and how many samples to take.
-    #[derive(Debug, Clone)]
-    pub struct Bench {
-        /// Warm-up time before measuring.
-        pub warmup: Duration,
-        /// Number of measured samples.
-        pub samples: usize,
-        /// Target time per sample (iteration count adapts to reach it).
-        pub sample_time: Duration,
-    }
-
-    impl Default for Bench {
-        fn default() -> Self {
-            Bench {
-                warmup: Duration::from_millis(150),
-                samples: 20,
-                sample_time: Duration::from_millis(25),
-            }
-        }
-    }
-
-    impl Bench {
-        /// A harness suitable for fast microbenchmarks.
-        pub fn quick() -> Self {
-            Bench::default()
-        }
-
-        /// Measures `f`, printing `name: median .. (min ..)` per iteration.
-        pub fn run<T>(&self, name: &str, mut f: impl FnMut() -> T) {
-            // Warm up and estimate a per-iteration cost.
-            let warm_start = Clock::now();
-            let mut iters_done = 0u64;
-            while warm_start.elapsed() < self.warmup || iters_done < 10 {
-                black_box(f());
-                iters_done += 1;
-            }
-            let per_iter = warm_start.elapsed().as_nanos().max(1) / iters_done.max(1) as u128;
-            let iters_per_sample =
-                (self.sample_time.as_nanos() / per_iter.max(1)).clamp(1, 1 << 24) as u64;
-
-            let mut samples_ns: Vec<f64> = Vec::with_capacity(self.samples);
-            let mut watch = Stopwatch::start();
-            for _ in 0..self.samples {
-                watch.lap();
-                for _ in 0..iters_per_sample {
-                    black_box(f());
-                }
-                samples_ns.push(watch.lap().as_nanos() as f64 / iters_per_sample as f64);
-            }
-            samples_ns.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-            let median = samples_ns[samples_ns.len() / 2];
-            let min = samples_ns[0];
-            println!(
-                "{name:<40} {:>12}/iter  (min {:>12}, {iters_per_sample} iters x {} samples)",
-                fmt_ns(median),
-                fmt_ns(min),
-                self.samples
-            );
-        }
-    }
-
-    fn fmt_ns(ns: f64) -> String {
-        if ns < 1_000.0 {
-            format!("{ns:.1} ns")
-        } else if ns < 1_000_000.0 {
-            format!("{:.2} µs", ns / 1_000.0)
-        } else if ns < 1_000_000_000.0 {
-            format!("{:.2} ms", ns / 1_000_000.0)
-        } else {
-            format!("{:.2} s", ns / 1_000_000_000.0)
-        }
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@ fn assert_faithful_is_fast_plus_the_pass(config: MachineConfig) {
     let whole = WholeProgram::all().iter().map(|wp| wp.program(Scale::Test));
     for program in kernels.chain(whole) {
         let label = format!("{} on {} {}-wide", program.name, config.model, config.width);
-        let checks = fidelity::check(&program, u64::MAX).unwrap_or_else(|d| panic!("{label}: {d}"));
+        let (checks, _) =
+            fidelity::check(&program, u64::MAX).unwrap_or_else(|d| panic!("{label}: {d}"));
         assert!(checks > 0, "{label}: the pass checked nothing");
         let run = |c| Simulator::new(c, &program).run().expect(&label);
         let fast = run(config.clone());

@@ -42,7 +42,7 @@ fn faithful_mode_does_not_change_timing() {
     let faithful = Simulator::new(config, &program).run().expect("runs");
     assert_eq!(fast.cycles, faithful.cycles);
     assert_eq!(fast.retired, faithful.retired);
-    let checks = fidelity::check(&program, u64::MAX).expect("agrees");
+    let (checks, _) = fidelity::check(&program, u64::MAX).expect("agrees");
     assert_eq!(faithful.fidelity_checks, checks);
 }
 

@@ -287,16 +287,16 @@ const CACHE_RESIDENT: Layout = Layout {
 /// data, r16–r18 memory bases, r20 the loop counter. `layout` only sets
 /// constants; the random draws are the same for every layout.
 fn random_program(rng: &mut redbin_testkit::Rng, layout: Layout) -> Program {
-    let data = |rng: &mut redbin_testkit::Rng| Reg(1 + rng.range_u64(0, 14) as u8);
+    let data = |rng: &mut redbin_testkit::Rng| Reg(1 + rng.range_u64(0, 15) as u8);
     // A store of r14 stores r31 (zero) instead, a value with no producer.
     let store_data = |rng: &mut redbin_testkit::Rng| match data(rng) {
         Reg(14) => Reg::R31,
         r => r,
     };
-    let base = |rng: &mut redbin_testkit::Rng| Reg(16 + rng.range_u64(0, 2) as u8);
+    let base = |rng: &mut redbin_testkit::Rng| Reg(16 + rng.range_u64(0, 3) as u8);
     let operand = |rng: &mut redbin_testkit::Rng| {
-        if rng.range_u64(0, 1) == 0 {
-            Operand::Reg(Reg(1 + rng.range_u64(0, 14) as u8))
+        if rng.next_bool() {
+            Operand::Reg(Reg(1 + rng.range_u64(0, 15) as u8))
         } else {
             Operand::Imm(rng.range_i64(-128, 127))
         }
@@ -336,7 +336,7 @@ fn random_program(rng: &mut redbin_testkit::Rng, layout: Layout) -> Program {
 
     let mut body = Vec::with_capacity(body_len);
     for i in 0..body_len {
-        let inst = match rng.range_u64(0, 9) {
+        let inst = match rng.range_u64(0, 10) {
             0..=4 => Inst::op(*rng.pick(&alu), data(rng), operand(rng), data(rng)),
             5 => Inst::op(Opcode::Cmoveq, data(rng), operand(rng), data(rng)),
             6 => Inst::mem(
@@ -357,8 +357,8 @@ fn random_program(rng: &mut redbin_testkit::Rng, layout: Layout) -> Program {
                 // near the end, degrade to a plain add instead.
                 let remaining = body_len - i - 1;
                 if remaining >= 1 {
-                    let skip = rng.range_i64(1, remaining.min(3) as i64);
-                    let op = if rng.range_u64(0, 1) == 0 {
+                    let skip = rng.range_i64(1, remaining.min(3) as i64 + 1);
+                    let op = if rng.next_bool() {
                         Opcode::Beq
                     } else {
                         Opcode::Bne
@@ -403,7 +403,7 @@ fn memory_bound_program(rng: &mut redbin_testkit::Rng) -> Program {
 /// or datapath variant).
 fn random_config(rng: &mut redbin_testkit::Rng) -> MachineConfig {
     let model = *rng.pick(CoreModel::all());
-    let width = if rng.range_u64(0, 1) == 0 { 4 } else { 8 };
+    let width = if rng.next_bool() { 4 } else { 8 };
     let mut cfg = MachineConfig::new(model, width);
     match rng.range_u64(0, 5) {
         0 => cfg = cfg.with_bypass(BypassLevels::without(&[2])),
@@ -418,6 +418,41 @@ fn random_config(rng: &mut redbin_testkit::Rng) -> MachineConfig {
     // A bug that deadlocks one scheduler should fail fast, not hang CI.
     cfg.max_cycles = 2_000_000;
     cfg
+}
+
+/// The random lockstep cases reach what the generators are written to
+/// draw: 8-wide machines, forward branches of both kinds in the loop body,
+/// immediate operands, data register r15 and memory base r18.
+#[test]
+fn random_cases_reach_every_generated_shape() {
+    let seen = std::cell::Cell::new([false; 6]);
+    redbin_testkit::cases(32, 0x5EED_5C4E_D01E, |rng| {
+        let program = random_program(rng, CACHE_RESIDENT);
+        let mut s = seen.get();
+        s[0] |= random_config(rng).width == 8;
+        for inst in &program.code {
+            s[1] |= inst.op == Opcode::Beq && inst.disp > 0;
+            s[2] |= inst.op == Opcode::Bne && inst.disp > 0;
+            s[3] |= inst.op == Opcode::Cmoveq && matches!(inst.rb, Operand::Imm(_));
+            s[4] |= inst.dest() == Some(Reg(15)) || inst.sources().contains(&Reg(15));
+            s[5] |= inst.op.is_mem() && inst.ra == Reg(18);
+        }
+        seen.set(s);
+    });
+    let shapes = [
+        "an 8-wide config",
+        "a forward beq",
+        "a forward bne",
+        "an immediate operand",
+        "r15",
+        "base r18",
+    ];
+    let missing: Vec<&str> = shapes
+        .iter()
+        .zip(seen.get())
+        .filter_map(|(shape, hit)| (!hit).then_some(*shape))
+        .collect();
+    assert!(missing.is_empty(), "no random case drew {missing:?}");
 }
 
 #[test]
